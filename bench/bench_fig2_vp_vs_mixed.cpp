@@ -56,10 +56,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FATAL: system build failed\n");
     return 1;
   }
-  // Fifth run: the mixed strategy paging its storage at a quarter of
-  // the columnar footprint (DESIGN.md §15). Results are bit-identical;
-  // the JSON's bytes_scanned column shows what zone-map/bloom skipping
-  // saved (bench_paged is the dedicated beyond-RAM harness).
+  // Fifth run: the mixed strategy with its buffer pool capped at a
+  // quarter of the columnar footprint and 512-row groups (DESIGN.md
+  // §15). Results are bit-identical; the finer zone maps skip more, which
+  // the JSON's bytes_scanned column shows (bench_paged is the dedicated
+  // beyond-RAM harness).
   auto paged = baselines::MakeProstPaged(
       workload.graph, cluster, (*mixed)->load_report().storage_bytes / 4,
       /*row_group_rows=*/512);

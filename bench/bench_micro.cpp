@@ -13,6 +13,7 @@
 
 #include "bench_util.h"
 #include "cluster/cost_model.h"
+#include "columnar/buffer_pool.h"
 #include "columnar/encoding.h"
 #include "common/hash.h"
 #include "common/rng.h"
@@ -171,8 +172,9 @@ struct ScanFixture {
     watdiv::WatDivDataset dataset = watdiv::Generate(config);
     dataset.graph.SortAndDedupe();
     stats = core::DatasetStatistics::Compute(dataset.graph);
-    vp = core::VpStore::Build(dataset.graph, 9);
-    pt = core::PropertyTable::Build(dataset.graph, stats, 9);
+    vp = core::VpStore::Build(dataset.graph, 9, pool);
+    pt = core::PropertyTable::Build(dataset.graph, stats, 9,
+                                    /*keyed_on_object=*/false, pool);
     likes = dataset.graph.dictionary().Lookup(
         "<" + watdiv::Predicates::likes() + ">");
     age = dataset.graph.dictionary().Lookup(
@@ -180,6 +182,7 @@ struct ScanFixture {
     gender = dataset.graph.dictionary().Lookup(
         "<" + watdiv::Predicates::gender() + ">");
   }
+  columnar::BufferPool pool{0};  // Unbounded; outlives the stores.
   core::DatasetStatistics stats;
   core::VpStore vp;
   core::PropertyTable pt;

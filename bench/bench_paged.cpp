@@ -1,11 +1,12 @@
 // Beyond-RAM execution harness (DESIGN.md §15): PRoST's mixed strategy
-// fully in memory versus the same engine paging its columnar storage
-// through a BufferPool capped at a quarter of the columnar footprint.
+// with an unbounded buffer pool (every decoded chunk stays resident)
+// versus the same engine with its pool capped at a quarter of the
+// columnar footprint and finer row groups.
 //
 // Two properties are on display (and enforced under --smoke):
 //   - identity: every WatDiv query returns a relation *bit-identical*
-//     to the in-memory engine, chunk layout and row order included —
-//     paging is invisible to semantics; and
+//     to the unbounded store, chunk layout and row order included —
+//     the budget is invisible to semantics; and
 //   - skipping: zone maps prune row groups on the constant-heavy C
 //     class (zero C-class skips is a FATAL smoke failure — it means
 //     the skip machinery is dead code).
@@ -61,12 +62,12 @@ int main(int argc, char** argv) {
   bench::BenchWorkload workload = bench::BuildWorkload();
   cluster::ClusterConfig cluster = bench::ScaledCluster(workload);
 
-  auto in_memory = baselines::MakeProst(workload.graph, cluster);
-  if (!in_memory.ok()) {
-    std::fprintf(stderr, "FATAL: in-memory build failed\n");
+  auto unbounded = baselines::MakeProst(workload.graph, cluster);
+  if (!unbounded.ok()) {
+    std::fprintf(stderr, "FATAL: unbounded build failed\n");
     return 1;
   }
-  const uint64_t footprint = (*in_memory)->load_report().storage_bytes;
+  const uint64_t footprint = (*unbounded)->load_report().storage_bytes;
   const uint64_t budget = footprint / 4;
   // Row groups well below the partition sizes at bench scale, so the
   // pool sees real page traffic and zone maps real pruning granularity.
@@ -94,9 +95,9 @@ int main(int argc, char** argv) {
   bench::SystemRun paged_run;
   paged_run.system = "PRoST (paged, 1/4 budget)";
 
-  std::printf("\nBeyond-RAM: in-memory vs paged at 1/4 budget (simulated ms)\n");
+  std::printf("\nBeyond-RAM: unbounded vs 1/4 budget pool (simulated ms)\n");
   bench::PrintRule(78);
-  std::printf("%-6s | %12s | %12s | %13s | %9s | %7s\n", "Query", "in-memory",
+  std::printf("%-6s | %12s | %12s | %13s | %9s | %7s\n", "Query", "unbounded",
               "paged", "bytes saved", "rg skips", "bloom");
   bench::PrintRule(78);
 
@@ -112,7 +113,7 @@ int main(int argc, char** argv) {
     Result<core::QueryResult> mem_result = Status::Internal("not run");
     {
       ScopedTimer timer(&mem_qr.wall_millis);
-      mem_result = (*in_memory)->Execute(workload.parsed[i]);
+      mem_result = (*unbounded)->Execute(workload.parsed[i]);
     }
     bench::QueryRun paged_qr;
     paged_qr.query_id = q.id;

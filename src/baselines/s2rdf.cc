@@ -27,7 +27,7 @@ Result<std::unique_ptr<RdfSystem>> S2RdfSystem::Load(
   const uint32_t workers = cluster.num_workers;
 
   system->stats_ = core::DatasetStatistics::Compute(g);
-  system->vp_ = VpStore::Build(g, workers);
+  system->vp_ = VpStore::Build(g, workers, system->pool_);
 
   // Per predicate: rows plus subject/object membership sets, from the
   // shared statistics layer.
@@ -102,9 +102,7 @@ Result<std::unique_ptr<RdfSystem>> S2RdfSystem::Load(
   system->load_report_.input_bytes = input_bytes;
   system->load_report_.simulated_load_millis = cost.ElapsedMillis();
   uint64_t extvp_bytes = 0;
-  for (const auto& [key, table] : system->extvp_) {
-    for (uint64_t b : table.partition_bytes) extvp_bytes += b;
-  }
+  for (const auto& [key, table] : system->extvp_) extvp_bytes += table.bytes();
   system->load_report_.storage_bytes =
       system->vp_.TotalBytesEstimate() + extvp_bytes;
   system->load_report_.real_load_millis = timer.ElapsedMillis();
@@ -181,7 +179,7 @@ Result<QueryResult> S2RdfSystem::Execute(const sparql::Query& query) const {
         Relation scanned,
         VpStore::ScanTable(table, node.patterns[0].subject,
                            node.patterns[0].object, cluster_.num_workers,
-                           cost));
+                           pool_, cost));
     if (i == 0) {
       accumulated = std::move(scanned);
       continue;
@@ -215,8 +213,10 @@ Result<uint64_t> S2RdfSystem::PersistTo(const std::string& dir) const {
           "%s/extvp/ev%u_%llu_%llu_p%u.tbl", dir.c_str(),
           static_cast<unsigned>(corr), static_cast<unsigned long long>(p),
           static_cast<unsigned long long>(q), w);
+      PROST_ASSIGN_OR_RETURN(columnar::StoredTable decoded,
+                             table.partitions[w].ToStored());
       PROST_RETURN_IF_ERROR(columnar::WriteLexicalTableFile(
-          table.partitions[w], graph_->dictionary(), path));
+          decoded, graph_->dictionary(), path));
     }
   }
   return DirectorySize(dir);

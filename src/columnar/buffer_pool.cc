@@ -125,13 +125,13 @@ Result<PinnedPage> BufferPool::Pin(const PagedTable& table, uint32_t group,
 void BufferPool::Unpin(PageFrame* frame) {
   MutexLock lock(mu_);
   --frame->pins;
-  if (frame->pins == 0 && resident_bytes_ > budget_bytes_) {
+  if (frame->pins == 0 && OverBudgetLocked()) {
     EvictToBudgetLocked();
   }
 }
 
 void BufferPool::EvictToBudgetLocked() {
-  while (resident_bytes_ > budget_bytes_) {
+  while (OverBudgetLocked()) {
     PageFrame* victim = nullptr;
     for (auto& [key, frame] : frames_) {
       if (frame->state != PageFrame::kLoaded || frame->pins != 0) continue;
@@ -158,16 +158,11 @@ BufferPool::Stats BufferPool::GetStats() const {
   return stats;
 }
 
-void BufferPool::NoteRowGroupsSkipped(uint64_t n) {
-  if (n > 0) row_groups_skipped_.Add(n);
-}
-
-void BufferPool::NotePartitionsSkipped(uint64_t n) {
-  if (n > 0) partitions_skipped_.Add(n);
-}
-
-void BufferPool::NoteBytesScanned(uint64_t bytes) {
-  if (bytes > 0) bytes_scanned_.Add(bytes);
+void BufferPool::NoteScan(uint64_t row_groups_skipped,
+                          uint64_t partitions_skipped, uint64_t bytes_scanned) {
+  if (row_groups_skipped > 0) row_groups_skipped_.Add(row_groups_skipped);
+  if (partitions_skipped > 0) partitions_skipped_.Add(partitions_skipped);
+  if (bytes_scanned > 0) bytes_scanned_.Add(bytes_scanned);
 }
 
 }  // namespace prost::columnar

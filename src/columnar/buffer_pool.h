@@ -83,6 +83,8 @@ class PinnedPage {
 /// resident; unpinned chunks are evicted least-recently-used once the
 /// decoded footprint exceeds the budget (the budget is a soft cap: it
 /// can be exceeded transiently while everything resident is pinned).
+/// A budget of 0 means unbounded: every decoded chunk stays resident
+/// after its first use and nothing is ever evicted.
 ///
 /// Thread-safe: scan workers Pin/unpin concurrently from parallel
 /// regions. The pool mutex (LockRank::kBufferPool) is never held across
@@ -94,7 +96,7 @@ class PinnedPage {
 /// or in an internal registry when none is given): pages_pinned,
 /// page_misses, evictions, row_groups_skipped_zonemap,
 /// partitions_skipped_bloom, bytes_scanned. Scan layers report their
-/// pruning decisions through the Note*() methods so the /metrics
+/// pruning decisions through NoteScan() so the /metrics
 /// endpoint sees one coherent storage surface.
 class BufferPool {
  public:
@@ -109,6 +111,7 @@ class BufferPool {
   Result<PinnedPage> Pin(const PagedTable& table, uint32_t group,
                          uint32_t column);
 
+  /// The byte budget; 0 = unbounded.
   uint64_t budget_bytes() const { return budget_bytes_; }
 
   struct Stats {
@@ -118,17 +121,20 @@ class BufferPool {
   };
   Stats GetStats() const;
 
-  /// Pruning/byte accounting from the scan layers (rolled into the
-  /// storage.* counters; byte amounts are in the cost model's lexical
-  /// domain so they line up with ChargeScan).
-  void NoteRowGroupsSkipped(uint64_t n);
-  void NotePartitionsSkipped(uint64_t n);
-  void NoteBytesScanned(uint64_t bytes);
+  /// Pruning/byte accounting of one scan (rolled into the storage.*
+  /// counters; bytes are in the cost model's lexical domain so they line
+  /// up with ChargeScan).
+  void NoteScan(uint64_t row_groups_skipped, uint64_t partitions_skipped,
+                uint64_t bytes_scanned);
 
  private:
   friend class PinnedPage;
 
   void Unpin(PageFrame* frame);
+  /// True when the resident footprint exceeds a (bounded) budget.
+  bool OverBudgetLocked() const PROST_REQUIRES(mu_) {
+    return budget_bytes_ != 0 && resident_bytes_ > budget_bytes_;
+  }
   /// Evicts unpinned frames, least-recently-used first, until the
   /// resident footprint fits the budget (or nothing evictable remains).
   void EvictToBudgetLocked() PROST_REQUIRES(mu_);

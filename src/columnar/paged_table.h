@@ -32,10 +32,11 @@ struct RowGroupMeta {
 
 /// A columnar table held in *encoded* form: schema + per-row-group chunk
 /// metadata (zone maps) + one contiguous encoded payload + a bloom filter
-/// over the key column (field 0). This is the beyond-RAM counterpart of
-/// StoredTable — a scan decodes only the chunks its pruning could not
-/// rule out, through BufferPool pins, and row groups enumerate in row
-/// order so paged scans are bit-identical to in-memory scans.
+/// over the key column (field 0). This is the storage form of every VP
+/// and Property Table partition — a scan decodes only the chunks its
+/// pruning could not rule out, through BufferPool pins, and row groups
+/// enumerate in row order so scans are bit-identical at any row-group
+/// size.
 class PagedTable {
  public:
   PagedTable() = default;
@@ -66,8 +67,7 @@ class PagedTable {
   /// through BufferPool::Pin, which caches the result.
   Result<Column> DecodeChunk(size_t g, size_t c) const;
 
-  /// Fully decodes back into a StoredTable (persistence, and the
-  /// differential tests proving paged == in-memory).
+  /// Fully decodes back into a StoredTable (persistence).
   Result<StoredTable> ToStored() const;
 
   /// Own serialized form: like StoredTable's but with a chunk directory

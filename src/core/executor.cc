@@ -1,10 +1,8 @@
 #include "core/executor.h"
 
-#include "analysis/plan_checker.h"
 #include "common/str_util.h"
 #include "core/modifiers.h"
 #include "obs/trace.h"
-#include "plan/planner.h"
 
 // Paranoid self-checks at operator boundaries: always on in debug builds,
 // and in release builds when the tree is compiled with sanitizers
@@ -163,7 +161,7 @@ class PlanInterpreter {
     span.SetEstimatedRows(node.estimated_rows);
     span.SetRowsIn(NodeInputRows(node.source, vp_, property_table_,
                                  reverse_property_table_));
-    // Equality pushed filters double as paged-scan pruning hints: the
+    // Equality pushed filters double as scan pruning hints: the
     // scan may skip row groups / partitions whose zone maps or bloom
     // filters exclude the constant, because those rows would be dropped
     // by the very filters applied below.
@@ -179,13 +177,10 @@ class PlanInterpreter {
         engine::Relation relation,
         ScanNode(node.source, vp_, property_table_, reverse_property_table_,
                  cost_, exec_, &hints, &telemetry));
-    if (telemetry.row_groups_total > 0) {
-      // The scan ran paged: surface estimate-vs-actual and skips in
-      // EXPLAIN ANALYZE.
-      span.SetStorage(relation.planner_bytes_raw(),
-                      telemetry.row_groups_skipped,
-                      telemetry.partitions_skipped);
-    }
+    // Estimate-vs-actual bytes and pruning skips for EXPLAIN ANALYZE.
+    span.SetStorage(relation.planner_bytes_raw(),
+                    telemetry.row_groups_skipped,
+                    telemetry.partitions_skipped);
     // Pushed-down constant filters evaluate right here, inside the scan's
     // span, before anything is joined or shuffled.
     for (const sparql::FilterConstraint& filter : node.pushed_filters) {
@@ -365,35 +360,6 @@ Result<QueryResult> ExecutePlan(
     profile->Finish(result.simulated_millis, result.counters);
   }
   return result;
-}
-
-Result<QueryResult> ExecuteJoinTree(
-    const JoinTree& tree, const sparql::Query& query, const VpStore& vp,
-    const PropertyTable* property_table,
-    const PropertyTable* reverse_property_table,
-    const engine::JoinOptions& join_options,
-    const rdf::Dictionary& dictionary, cluster::CostModel& cost,
-    const engine::ExecContext* exec) {
-  if (tree.nodes.empty()) {
-    return Status::InvalidArgument("empty join tree");
-  }
-#if defined(PROST_PARANOID_CHECKS) || !defined(NDEBUG)
-  // Structural verification of the plan against its query. ProstDb already
-  // ran the full contextual CheckPlan; this guards direct callers (tests,
-  // hand-built trees) at zero cost in plain release builds.
-  PROST_RETURN_IF_ERROR(analysis::CheckPlanStructure(tree, query));
-#endif
-  plan::PlannerInputs inputs;
-  inputs.vp = &vp;
-  inputs.property_table = property_table;
-  inputs.reverse_property_table = reverse_property_table;
-  PROST_ASSIGN_OR_RETURN(plan::PhysicalPlan physical,
-                         plan::BuildPlan(tree, query, inputs));
-#if defined(PROST_PARANOID_CHECKS) || !defined(NDEBUG)
-  PROST_RETURN_IF_ERROR(analysis::CheckPhysicalPlan(physical, query));
-#endif
-  return ExecutePlan(physical, vp, property_table, reverse_property_table,
-                     join_options, dictionary, cost, exec);
 }
 
 }  // namespace prost::core

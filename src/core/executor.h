@@ -6,13 +6,11 @@
 
 #include "cluster/cost_model.h"
 #include "common/status.h"
-#include "core/join_tree.h"
 #include "core/property_table.h"
 #include "core/vp_store.h"
 #include "engine/operators.h"
 #include "engine/relation.h"
 #include "plan/plan_ir.h"
-#include "sparql/algebra.h"
 
 namespace prost::core {
 
@@ -54,22 +52,6 @@ struct QueryResult {
 /// time is unchanged — parallelism affects wall-clock only.
 Result<QueryResult> ExecutePlan(
     const plan::PhysicalPlan& physical, const VpStore& vp,
-    const PropertyTable* property_table,
-    const PropertyTable* reverse_property_table,
-    const engine::JoinOptions& join_options,
-    const rdf::Dictionary& dictionary, cluster::CostModel& cost,
-    const engine::ExecContext* exec = nullptr);
-
-/// Executes a Join Tree bottom-up (§3.2): lowers the tree plus the
-/// query's modifiers into the unoptimized physical plan (plan/planner.h;
-/// no optimizer passes) and interprets it — each node's sub-query is
-/// materialized from its storage structure, then the intermediate
-/// results are folded together with hash joins (broadcast or shuffle,
-/// per `join_options`), then the FILTER / projection / DISTINCT / LIMIT
-/// modifiers of `query` run at the end. Kept as the pass-free entry
-/// point for direct callers (tests, hand-built trees).
-Result<QueryResult> ExecuteJoinTree(
-    const JoinTree& tree, const sparql::Query& query, const VpStore& vp,
     const PropertyTable* property_table,
     const PropertyTable* reverse_property_table,
     const engine::JoinOptions& join_options,

@@ -52,7 +52,7 @@ class FilterEvaluator {
 
 /// True when `filter` pins its variable to exactly one stored term id —
 /// i.e. it is `?var = <non-numeric constant>` — making it usable as a
-/// paged-scan pruning hint (core::ScanEqualityHint). `*id` receives the
+/// scan pruning hint (core::ScanEqualityHint). `*id` receives the
 /// constant's dictionary id, or rdf::kNullTermId when the constant is
 /// not interned (then no stored row can satisfy the filter at all).
 ///

@@ -22,13 +22,33 @@ using engine::Relation;
 using engine::RelationChunk;
 using rdf::TermId;
 
+namespace {
+
+/// The key column plus each column in `pattern_column` (PatternColumns)
+/// once: the columns a scan charges.
+std::vector<size_t> ChargedColumns(const std::vector<int>& pattern_column) {
+  std::vector<size_t> charged{0};
+  for (int c : pattern_column) {
+    if (c >= 0 && std::find(charged.begin(), charged.end(),
+                            static_cast<size_t>(c)) == charged.end()) {
+      charged.push_back(static_cast<size_t>(c));
+    }
+  }
+  return charged;
+}
+
+}  // namespace
+
 PropertyTable PropertyTable::Build(const rdf::EncodedGraph& graph,
                                    const DatasetStatistics& stats,
                                    uint32_t num_workers,
-                                   bool keyed_on_object) {
+                                   bool keyed_on_object,
+                                   columnar::BufferPool& pool,
+                                   uint32_t row_group_rows) {
   PropertyTable table;
   table.num_workers_ = num_workers;
   table.keyed_on_object_ = keyed_on_object;
+  table.pool_ = &pool;
 
   // 1. Distinct row keys, assigned (partition, row) by subject hash.
   std::vector<TermId> keys;
@@ -110,7 +130,7 @@ PropertyTable PropertyTable::Build(const rdf::EncodedGraph& graph,
         is_list[c] ? ColumnKind::kIdList : ColumnKind::kId});
   }
   table.partitions_.reserve(num_workers);
-  table.column_bytes_.resize(num_workers);
+  table.column_bytes_.reserve(num_workers);
   for (uint32_t w = 0; w < num_workers; ++w) {
     std::vector<Column> columns;
     columns.reserve(predicates.size() + 1);
@@ -139,27 +159,36 @@ PropertyTable PropertyTable::Build(const rdf::EncodedGraph& graph,
         columns.emplace_back(std::move(flat[w][c]));
       }
     }
-    table.partitions_.emplace_back(schema, std::move(columns));
-    const StoredTable& part = table.partitions_.back();
-    table.column_bytes_[w].reserve(part.num_columns());
-    for (size_t c = 0; c < part.num_columns(); ++c) {
-      // Lexical (Parquet string) sizes: scan charges and planner stats.
-      table.column_bytes_[w].push_back(
-          columnar::LexicalColumnSizeEstimate(part.column(c), term_lengths));
-    }
+    table.AddPartition(StoredTable(schema, std::move(columns)), term_lengths,
+                       row_group_rows);
   }
   return table;
 }
 
+void PropertyTable::AddPartition(const StoredTable& part,
+                                 const std::vector<uint32_t>& term_lengths,
+                                 uint32_t row_group_rows) {
+  std::vector<uint64_t>& bytes = column_bytes_.emplace_back();
+  bytes.reserve(part.num_columns());
+  for (size_t c = 0; c < part.num_columns(); ++c) {
+    // Lexical (Parquet string) sizes: scan charges and planner stats.
+    bytes.push_back(
+        columnar::LexicalColumnSizeEstimate(part.column(c), term_lengths));
+  }
+  partitions_.push_back(columnar::PagedTable::FromStored(part, row_group_rows));
+}
+
 Result<PropertyTable> PropertyTable::Assemble(
-    std::vector<StoredTable> partitions, const rdf::Dictionary& dictionary,
-    bool keyed_on_object) {
+    std::vector<StoredTable> partitions,
+    const rdf::Dictionary& dictionary, bool keyed_on_object,
+    columnar::BufferPool& pool, uint32_t row_group_rows) {
   if (partitions.empty()) {
     return Status::InvalidArgument("property table needs >= 1 partition");
   }
   PropertyTable table;
   table.num_workers_ = static_cast<uint32_t>(partitions.size());
   table.keyed_on_object_ = keyed_on_object;
+  table.pool_ = &pool;
   const columnar::Schema& schema = partitions[0].schema();
   for (const StoredTable& part : partitions) {
     if (!(part.schema() == schema)) {
@@ -177,22 +206,17 @@ Result<PropertyTable> PropertyTable::Assemble(
     table.column_of_predicate_.emplace(predicate, c);
   }
   std::vector<uint32_t> term_lengths = dictionary.TermLengths();
-  table.column_bytes_.resize(partitions.size());
-  for (size_t w = 0; w < partitions.size(); ++w) {
-    table.column_bytes_[w].reserve(partitions[w].num_columns());
-    for (size_t c = 0; c < partitions[w].num_columns(); ++c) {
-      table.column_bytes_[w].push_back(columnar::LexicalColumnSizeEstimate(
-          partitions[w].column(c), term_lengths));
-    }
+  table.partitions_.reserve(partitions.size());
+  table.column_bytes_.reserve(partitions.size());
+  for (StoredTable& part : partitions) {
+    table.AddPartition(part, term_lengths, row_group_rows);
+    part = StoredTable();
   }
-  table.partitions_ = std::move(partitions);
   return table;
 }
 
-uint64_t PropertyTable::ScanPlannerBytes(
+std::vector<int> PropertyTable::PatternColumns(
     const std::vector<ColumnPattern>& patterns) const {
-  // Mirrors Scan's charging loop: a pattern touches its predicate column
-  // only when the predicate exists and the constant (if any) can exist.
   std::vector<int> pattern_column(patterns.size(), -1);
   for (size_t i = 0; i < patterns.size(); ++i) {
     auto it = column_of_predicate_.find(patterns[i].predicate);
@@ -201,33 +225,18 @@ uint64_t PropertyTable::ScanPlannerBytes(
       pattern_column[i] = static_cast<int>(it->second);
     }
   }
+  return pattern_column;
+}
+
+uint64_t PropertyTable::ScanPlannerBytes(
+    const std::vector<ColumnPattern>& patterns) const {
+  const std::vector<size_t> charged = ChargedColumns(PatternColumns(patterns));
   uint64_t planner_bytes = 0;
   for (uint32_t w = 0; w < num_workers_; ++w) {
-    uint64_t scan_bytes = column_bytes_[w][0];
-    std::vector<int> charged;
-    for (int c : pattern_column) {
-      if (c >= 0 && std::find(charged.begin(), charged.end(), c) ==
-                        charged.end()) {
-        charged.push_back(c);
-        scan_bytes += column_bytes_[w][static_cast<size_t>(c)];
-      }
-    }
-    planner_bytes += scan_bytes;
+    for (size_t c : charged) planner_bytes += column_bytes_[w][c];
   }
   return planner_bytes;
 }
-
-namespace {
-
-/// True when a row group's zone map admits `id` for the column — NULLs
-/// are excluded from min/max, so `value_count == 0` (all-NULL chunk)
-/// admits nothing.
-bool ZoneMayContain(const columnar::ColumnStats& stats, TermId id) {
-  if (stats.value_count == 0) return false;
-  return id >= stats.min_id && id <= stats.max_id;
-}
-
-}  // namespace
 
 Result<Relation> PropertyTable::Scan(
     const PatternTerm& key, const std::vector<ColumnPattern>& patterns,
@@ -260,31 +269,19 @@ Result<Relation> PropertyTable::Scan(
   }
   Relation output(names, num_workers_);
 
-  // Table columns touched by each pattern (-1: predicate absent -> the
-  // whole group has an empty answer, but the scan stage still runs).
-  std::vector<int> pattern_column(patterns.size(), -1);
-  bool possible = !key.IsImpossibleConstant();
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    auto it = column_of_predicate_.find(patterns[i].predicate);
-    if (it == column_of_predicate_.end() ||
-        patterns[i].value.IsImpossibleConstant()) {
-      possible = false;
-    } else {
-      pattern_column[i] = static_cast<int>(it->second);
-    }
-  }
+  // Table columns touched by each pattern (-1: predicate absent or
+  // constant impossible -> the whole group has an empty answer, but the
+  // scan stage still runs).
+  const std::vector<int> pattern_column = PatternColumns(patterns);
+  const bool possible =
+      !key.IsImpossibleConstant() &&
+      std::find(pattern_column.begin(), pattern_column.end(), -1) ==
+          pattern_column.end();
 
-  // Cost model first, entirely on the calling thread: columnar pruning
-  // charges the key column plus each touched column once per partition.
-  // `charged_cols` is that column set (key first); paged scans apportion
-  // exactly these columns' bytes over row groups.
-  std::vector<size_t> charged_cols{0};
-  for (int c : pattern_column) {
-    if (c >= 0 && std::find(charged_cols.begin(), charged_cols.end(),
-                            static_cast<size_t>(c)) == charged_cols.end()) {
-      charged_cols.push_back(static_cast<size_t>(c));
-    }
-  }
+  // Columnar pruning charges the key column plus each touched column
+  // once per partition; the pruning pass apportions exactly these
+  // columns' bytes over row groups.
+  const std::vector<size_t> charged_cols = ChargedColumns(pattern_column);
   uint64_t planner_bytes = 0;
   std::vector<uint64_t> full_scan_bytes(num_workers_, 0);
   for (uint32_t w = 0; w < num_workers_; ++w) {
@@ -295,22 +292,16 @@ Result<Relation> PropertyTable::Scan(
   }
   if (!possible) {
     // The scan stage still runs over every partition and finds nothing;
-    // zone maps have nothing to prune (no surviving rows to skip), so
-    // both representations charge the full columnar scan.
+    // zone maps have nothing to prune (no surviving rows to skip), so it
+    // charges the full columnar scan.
     for (uint32_t w = 0; w < num_workers_; ++w) {
       cost.ChargeScan(w, full_scan_bytes[w]);
-      cost.ChargeCpuRows(w, PartitionRows(w));
+      cost.ChargeCpuRows(w, partitions_[w].num_rows());
     }
     if (key.is_variable) output.set_hash_partitioned_by(0);
     output.set_planner_bytes(planner_bytes);
     return output;
   }
-  if (!paged_mode()) {
-    for (uint32_t w = 0; w < num_workers_; ++w) {
-      cost.ChargeScan(w, full_scan_bytes[w]);
-    }
-  }
-
   // When every touched column is flat (kId), each input row yields at
   // most one output row and the whole scan vectorizes: constant patterns
   // and NULL checks refine a selection vector, repeated variables become
@@ -319,17 +310,16 @@ Result<Relation> PropertyTable::Scan(
   // general partial-expansion path below.
   bool all_flat = true;
   for (int c : pattern_column) {
-    if (PartitionSchema().field(static_cast<size_t>(c)).kind !=
+    if (partitions_[0].schema().field(static_cast<size_t>(c)).kind !=
         ColumnKind::kId) {
       all_flat = false;
       break;
     }
   }
 
-  // The scan kernels below take the rows as column views — `row_keys`
-  // plus `cols[i]`, pattern i's table column — so the same code runs
-  // over a whole in-memory partition or one pinned row group (row
-  // indices are view-local either way).
+  // The scan kernels below take one pinned row group as column views —
+  // `row_keys` plus `cols[i]`, pattern i's table column — with
+  // group-local row indices.
 
   // Vectorized scan (flat columns only). Produces the exact rows, in
   // the exact ascending row order, that the general loop emits: with
@@ -450,227 +440,169 @@ Result<Relation> PropertyTable::Scan(
     return emitted;
   };
 
-  auto scan_rows = [&](const IdVector& row_keys,
-                       const std::vector<const Column*>& cols,
-                       RelationChunk& out) -> uint64_t {
-    return all_flat ? scan_rows_flat(row_keys, cols, out)
-                    : scan_rows_general(row_keys, cols, out);
-  };
-
-  if (paged_mode()) {
-    if (pool_ == nullptr) {
-      return Status::Internal(
-          "paged property table scanned without a buffer pool");
+  // Every id each storage column is constrained to equal: pattern
+  // constants, plus pushed-filter equality hints on the column's
+  // variable (a hint of kNullTermId matches ZoneMayContain nowhere,
+  // which is exactly right — the filter constant is outside the
+  // dictionary, so no stored row survives it).
+  std::vector<std::vector<TermId>> col_eq(num_columns());
+  if (!key.is_variable) col_eq[0].push_back(key.id);
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    if (!patterns[i].value.is_variable) {
+      col_eq[static_cast<size_t>(pattern_column[i])].push_back(
+          patterns[i].value.id);
     }
-    // Every id each storage column is constrained to equal: pattern
-    // constants, plus pushed-filter equality hints on the column's
-    // variable (a hint of kNullTermId matches ZoneMayContain nowhere,
-    // which is exactly right — the filter constant is outside the
-    // dictionary, so no stored row survives it).
-    std::vector<std::vector<TermId>> col_eq(num_columns());
-    if (!key.is_variable) col_eq[0].push_back(key.id);
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      if (!patterns[i].value.is_variable) {
-        col_eq[static_cast<size_t>(pattern_column[i])].push_back(
-            patterns[i].value.id);
+  }
+  if (hints != nullptr) {
+    for (const ScanEqualityHint& hint : hints->equals) {
+      if (key.is_variable && key.name == hint.variable) {
+        col_eq[0].push_back(hint.id);
       }
-    }
-    if (hints != nullptr) {
-      for (const ScanEqualityHint& hint : hints->equals) {
-        if (key.is_variable && key.name == hint.variable) {
-          col_eq[0].push_back(hint.id);
-        }
-        for (size_t i = 0; i < patterns.size(); ++i) {
-          if (patterns[i].value.is_variable &&
-              patterns[i].value.name == hint.variable) {
-            col_eq[static_cast<size_t>(pattern_column[i])].push_back(hint.id);
-          }
+      for (size_t i = 0; i < patterns.size(); ++i) {
+        if (patterns[i].value.is_variable &&
+            patterns[i].value.name == hint.variable) {
+          col_eq[static_cast<size_t>(pattern_column[i])].push_back(hint.id);
         }
       }
     }
-
-    // Pruning pass, all from metadata (no decode): the key bloom filter
-    // kills whole partitions on constrained keys; a row group dies when
-    // a zone map excludes a constrained id, or when any touched
-    // predicate column is all-NULL in the group (every row would lose
-    // that pattern's non-empty-cell check anyway). Scan charges stay in
-    // the lexical byte domain: each touched column's lexical size is
-    // apportioned over groups in proportion to its encoded chunk bytes,
-    // flooring cumulatively so per-group charges telescope to exactly
-    // full_scan_bytes[w] when nothing is skipped.
-    std::vector<std::vector<uint32_t>> plan(num_workers_);
-    std::vector<uint64_t> scanned_rows(num_workers_, 0);
-    std::vector<uint64_t> charged_bytes(num_workers_, 0);
-    ScanTelemetry local;
-    for (uint32_t w = 0; w < num_workers_; ++w) {
-      const columnar::PagedTable& paged = paged_[w];
-      local.row_groups_total += paged.num_groups();
-      if (paged.num_groups() == 0) {
-        // Empty partition: nothing to prune; keep the in-memory charge.
-        charged_bytes[w] = full_scan_bytes[w];
-        continue;
-      }
-      bool bloom_rejected = false;
-      for (TermId id : col_eq[0]) {
-        if (!paged.key_bloom().MayContain(id)) {
-          bloom_rejected = true;
-          break;
-        }
-      }
-      if (bloom_rejected) {
-        ++local.partitions_skipped;
-        continue;
-      }
-      std::vector<uint64_t> payload_total(charged_cols.size(), 0);
-      std::vector<uint64_t> payload_cum(charged_cols.size(), 0);
-      std::vector<uint64_t> lex_cum(charged_cols.size(), 0);
-      for (size_t j = 0; j < charged_cols.size(); ++j) {
-        payload_total[j] =
-            paged.ColumnPayloadBytes(static_cast<uint32_t>(charged_cols[j]));
-      }
-      for (size_t g = 0; g < paged.num_groups(); ++g) {
-        uint64_t group_lex = 0;
-        bool keep = true;
-        for (size_t j = 0; j < charged_cols.size(); ++j) {
-          const size_t c = charged_cols[j];
-          payload_cum[j] += paged.group(g).chunks[c].bytes;
-          const uint64_t lex_c = column_bytes_[w][c];
-          uint64_t lex_next =
-              payload_total[j] == 0
-                  ? lex_c
-                  : lex_c * payload_cum[j] / payload_total[j];
-          group_lex += lex_next - lex_cum[j];
-          lex_cum[j] = lex_next;
-          if (!keep) continue;
-          if (j > 0 && paged.stats(g, c).value_count == 0) keep = false;
-          for (TermId id : col_eq[c]) {
-            if (!ZoneMayContain(paged.stats(g, c), id)) {
-              keep = false;
-              break;
-            }
-          }
-        }
-        if (!keep) {
-          ++local.row_groups_skipped;
-          continue;
-        }
-        plan[w].push_back(static_cast<uint32_t>(g));
-        scanned_rows[w] += paged.group(g).num_rows;
-        charged_bytes[w] += group_lex;
-      }
-    }
-
-    // Scans partition `w`'s surviving groups, in ascending group (= row)
-    // order, through pool pins: the key chunk plus one pin per distinct
-    // touched column, held for exactly the duration of the group's scan.
-    auto scan_partition_paged = [&](uint32_t w,
-                                    RelationChunk& out) -> Result<uint64_t> {
-      const columnar::PagedTable& paged = paged_[w];
-      uint64_t emitted_rows = 0;
-      std::vector<columnar::PinnedPage> pins;
-      std::vector<const Column*> cols(patterns.size(), nullptr);
-      for (uint32_t g : plan[w]) {
-        PROST_ASSIGN_OR_RETURN(columnar::PinnedPage key_pin,
-                               pool_->Pin(paged, g, 0));
-        pins.clear();
-        pins.reserve(charged_cols.size() - 1);
-        for (size_t j = 1; j < charged_cols.size(); ++j) {
-          PROST_ASSIGN_OR_RETURN(
-              columnar::PinnedPage pin,
-              pool_->Pin(paged, g, static_cast<uint32_t>(charged_cols[j])));
-          pins.push_back(std::move(pin));
-          // Frame storage is stable in the pool, so the Column reference
-          // survives `pins` reallocation.
-          for (size_t i = 0; i < patterns.size(); ++i) {
-            if (static_cast<size_t>(pattern_column[i]) == charged_cols[j]) {
-              cols[i] = &pins.back().column();
-            }
-          }
-        }
-        emitted_rows += scan_rows(key_pin.column().ids(), cols, out);
-      }
-      return emitted_rows;
-    };
-
-    std::vector<uint64_t> emitted(num_workers_, 0);
-    std::vector<Status> statuses(num_workers_, Status::OK());
-    auto run_partition = [&](uint32_t w) {
-      Result<uint64_t> rows =
-          scan_partition_paged(w, output.mutable_chunks()[w]);
-      if (rows.ok()) {
-        emitted[w] = *rows;
-      } else {
-        statuses[w] = rows.status();
-      }
-    };
-    if (engine::IsParallel(exec)) {
-      exec->pool()->ParallelFor(num_workers_, [&](size_t w) {
-        run_partition(static_cast<uint32_t>(w));
-      });
-    } else {
-      for (uint32_t w = 0; w < num_workers_; ++w) run_partition(w);
-    }
-    for (const Status& status : statuses) {
-      PROST_RETURN_IF_ERROR(status);
-    }
-    for (uint32_t w = 0; w < num_workers_; ++w) {
-      cost.ChargeScan(w, charged_bytes[w]);
-      cost.ChargeCpuRows(w, scanned_rows[w] + emitted[w]);
-      local.bytes_scanned += charged_bytes[w];
-    }
-    pool_->NoteRowGroupsSkipped(local.row_groups_skipped);
-    pool_->NotePartitionsSkipped(local.partitions_skipped);
-    pool_->NoteBytesScanned(local.bytes_scanned);
-    if (telemetry != nullptr) *telemetry = local;
-    if (key.is_variable) output.set_hash_partitioned_by(0);
-    output.set_planner_bytes(planner_bytes);
-    return output;
   }
 
-  // Scans partition `w` into its output chunk, returning emitted rows.
-  // Each partition writes only its own chunk, so partitions are
-  // independent tasks and parallel output is bit-identical to serial.
-  auto scan_partition = [&](uint32_t w) -> uint64_t {
-    const StoredTable& part = partitions_[w];
-    std::vector<const Column*> cols(patterns.size(), nullptr);
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      cols[i] = &part.column(static_cast<size_t>(pattern_column[i]));
+  // Pruning pass, all from metadata (no decode): the key bloom filter
+  // kills whole partitions on constrained keys; a row group dies when
+  // a zone map excludes a constrained id, or when any touched
+  // predicate column is all-NULL in the group (every row would lose
+  // that pattern's non-empty-cell check anyway). Scan charges stay in
+  // the lexical byte domain: each touched column's lexical size is
+  // apportioned over groups in proportion to its encoded chunk bytes,
+  // flooring cumulatively so per-group charges telescope to exactly
+  // full_scan_bytes[w] when nothing is skipped.
+  std::vector<std::vector<uint32_t>> plan(num_workers_);
+  std::vector<uint64_t> scanned_rows(num_workers_, 0);
+  std::vector<uint64_t> charged_bytes(num_workers_, 0);
+  ScanTelemetry local;
+  for (uint32_t w = 0; w < num_workers_; ++w) {
+    const columnar::PagedTable& paged = partitions_[w];
+    if (paged.num_groups() == 0) {
+      // Empty partition: nothing to prune, but the scan stage still
+      // opens its (empty) file — charged at the planner's size.
+      charged_bytes[w] = full_scan_bytes[w];
+      continue;
     }
-    return scan_rows(part.column(0).ids(), cols,
-                     output.mutable_chunks()[w]);
+    bool bloom_rejected = false;
+    for (TermId id : col_eq[0]) {
+      if (!paged.key_bloom().MayContain(id)) {
+        bloom_rejected = true;
+        break;
+      }
+    }
+    if (bloom_rejected) {
+      ++local.partitions_skipped;
+      continue;
+    }
+    std::vector<uint64_t> payload_total(charged_cols.size(), 0);
+    std::vector<uint64_t> payload_cum(charged_cols.size(), 0);
+    std::vector<uint64_t> lex_cum(charged_cols.size(), 0);
+    for (size_t j = 0; j < charged_cols.size(); ++j) {
+      payload_total[j] =
+          paged.ColumnPayloadBytes(static_cast<uint32_t>(charged_cols[j]));
+    }
+    for (size_t g = 0; g < paged.num_groups(); ++g) {
+      uint64_t group_lex = 0;
+      bool keep = true;
+      for (size_t j = 0; j < charged_cols.size(); ++j) {
+        const size_t c = charged_cols[j];
+        payload_cum[j] += paged.group(g).chunks[c].bytes;
+        const uint64_t lex_c = column_bytes_[w][c];
+        uint64_t lex_next =
+            payload_total[j] == 0
+                ? lex_c
+                : lex_c * payload_cum[j] / payload_total[j];
+        group_lex += lex_next - lex_cum[j];
+        lex_cum[j] = lex_next;
+        if (!keep) continue;
+        if (j > 0 && paged.stats(g, c).value_count == 0) keep = false;
+        for (TermId id : col_eq[c]) {
+          if (!ZoneMayContain(paged.stats(g, c), id)) {
+            keep = false;
+            break;
+          }
+        }
+      }
+      if (!keep) {
+        ++local.row_groups_skipped;
+        continue;
+      }
+      plan[w].push_back(static_cast<uint32_t>(g));
+      scanned_rows[w] += paged.group(g).num_rows;
+      charged_bytes[w] += group_lex;
+    }
+  }
+
+  // Scans partition `w`'s surviving groups, in ascending group (= row)
+  // order, through pool pins: the key chunk plus one pin per distinct
+  // touched column, held for exactly the duration of the group's scan.
+  auto scan_partition = [&](uint32_t w,
+                            RelationChunk& out) -> Result<uint64_t> {
+    const columnar::PagedTable& paged = partitions_[w];
+    uint64_t emitted_rows = 0;
+    std::vector<columnar::PinnedPage> pins;
+    std::vector<const Column*> cols(patterns.size(), nullptr);
+    for (uint32_t g : plan[w]) {
+      PROST_ASSIGN_OR_RETURN(columnar::PinnedPage key_pin,
+                             pool_->Pin(paged, g, 0));
+      pins.clear();
+      pins.reserve(charged_cols.size() - 1);
+      for (size_t j = 1; j < charged_cols.size(); ++j) {
+        PROST_ASSIGN_OR_RETURN(
+            columnar::PinnedPage pin,
+            pool_->Pin(paged, g, static_cast<uint32_t>(charged_cols[j])));
+        pins.push_back(std::move(pin));
+        // Frame storage is stable in the pool, so the Column reference
+        // survives `pins` reallocation.
+        for (size_t i = 0; i < patterns.size(); ++i) {
+          if (static_cast<size_t>(pattern_column[i]) == charged_cols[j]) {
+            cols[i] = &pins.back().column();
+          }
+        }
+      }
+      const IdVector& row_keys = key_pin.column().ids();
+      emitted_rows += all_flat ? scan_rows_flat(row_keys, cols, out)
+                               : scan_rows_general(row_keys, cols, out);
+    }
+    return emitted_rows;
   };
 
   std::vector<uint64_t> emitted(num_workers_, 0);
+  std::vector<Status> statuses(num_workers_, Status::OK());
+  auto run_partition = [&](uint32_t w) {
+    Result<uint64_t> rows = scan_partition(w, output.mutable_chunks()[w]);
+    if (rows.ok()) {
+      emitted[w] = *rows;
+    } else {
+      statuses[w] = rows.status();
+    }
+  };
   if (engine::IsParallel(exec)) {
     exec->pool()->ParallelFor(num_workers_, [&](size_t w) {
-      emitted[w] = scan_partition(static_cast<uint32_t>(w));
+      run_partition(static_cast<uint32_t>(w));
     });
   } else {
-    for (uint32_t w = 0; w < num_workers_; ++w) {
-      emitted[w] = scan_partition(w);
-    }
+    for (uint32_t w = 0; w < num_workers_; ++w) run_partition(w);
+  }
+  for (const Status& status : statuses) {
+    PROST_RETURN_IF_ERROR(status);
   }
   for (uint32_t w = 0; w < num_workers_; ++w) {
-    cost.ChargeCpuRows(w, partitions_[w].num_rows() + emitted[w]);
+    cost.ChargeScan(w, charged_bytes[w]);
+    cost.ChargeCpuRows(w, scanned_rows[w] + emitted[w]);
+    local.bytes_scanned += charged_bytes[w];
   }
+  pool_->NoteScan(local.row_groups_skipped, local.partitions_skipped,
+                  local.bytes_scanned);
+  if (telemetry != nullptr) *telemetry = local;
   if (key.is_variable) output.set_hash_partitioned_by(0);
-  // The planner sees the touched columns' size (Parquet column pruning is
-  // visible to Spark's relation statistics).
   output.set_planner_bytes(planner_bytes);
   return output;
-}
-
-void PropertyTable::EnablePaging(columnar::BufferPool* pool,
-                                 uint32_t row_group_rows) {
-  pool_ = pool;
-  paged_.reserve(partitions_.size());
-  for (StoredTable& part : partitions_) {
-    paged_.push_back(columnar::PagedTable::FromStored(part, row_group_rows));
-    // Keep a schema-shaped husk: consumers that only look at shape
-    // (plan checking, schema queries) keep working, decoded columns go.
-    Schema schema = part.schema();
-    part = StoredTable(std::move(schema));
-  }
 }
 
 uint64_t PropertyTable::TotalBytesEstimate() const {
@@ -687,14 +619,9 @@ Status PropertyTable::WriteTo(const std::string& dir,
   const char* stem = keyed_on_object_ ? "ptrev" : "pt";
   for (uint32_t w = 0; w < num_workers_; ++w) {
     std::string path = StrFormat("%s/%s_p%u.tbl", dir.c_str(), stem, w);
-    if (paged_mode()) {
-      PROST_ASSIGN_OR_RETURN(StoredTable decoded, paged_[w].ToStored());
-      PROST_RETURN_IF_ERROR(
-          columnar::WriteLexicalTableFile(decoded, dictionary, path));
-    } else {
-      PROST_RETURN_IF_ERROR(columnar::WriteLexicalTableFile(
-          partitions_[w], dictionary, path));
-    }
+    PROST_ASSIGN_OR_RETURN(StoredTable decoded, partitions_[w].ToStored());
+    PROST_RETURN_IF_ERROR(
+        columnar::WriteLexicalTableFile(decoded, dictionary, path));
   }
   return Status::OK();
 }

@@ -31,6 +31,11 @@ namespace prost::core {
 ///
 /// `keyed_on_object = true` builds the future-work variant from §5: rows
 /// keyed by *object*, beneficial for same-object pattern groups.
+///
+/// Partitions are stored as row groups of encoded column chunks with
+/// min/max zone maps plus a bloom filter over the key column (DESIGN.md
+/// §15); scans decode only the chunks they touch, through a
+/// columnar::BufferPool.
 class PropertyTable {
  public:
   /// One pattern evaluated inside this table: a predicate column and the
@@ -46,17 +51,24 @@ class PropertyTable {
   PropertyTable(PropertyTable&&) = default;
   PropertyTable& operator=(PropertyTable&&) = default;
 
+  /// Builds the table in row groups of `row_group_rows` rows
+  /// (0 = columnar::kRowGroupSize). Scans decode through `pool`, which
+  /// must outlive the table.
   static PropertyTable Build(const rdf::EncodedGraph& graph,
                              const DatasetStatistics& stats,
-                             uint32_t num_workers,
-                             bool keyed_on_object = false);
+                             uint32_t num_workers, bool keyed_on_object,
+                             columnar::BufferPool& pool,
+                             uint32_t row_group_rows = 0);
 
   /// Reassembles a table from persisted partitions (column 0 is the key;
   /// the remaining field names are predicate lexical forms, resolved
   /// against `dictionary`). All partitions must share one schema.
+  /// `pool` and `row_group_rows` as for Build. Each decoded partition is
+  /// released as soon as it is packed.
   static Result<PropertyTable> Assemble(
       std::vector<columnar::StoredTable> partitions,
-      const rdf::Dictionary& dictionary, bool keyed_on_object);
+      const rdf::Dictionary& dictionary, bool keyed_on_object,
+      columnar::BufferPool& pool, uint32_t row_group_rows = 0);
 
   /// True when `predicate` has a column in this table.
   bool HasPredicate(rdf::TermId predicate) const {
@@ -71,14 +83,14 @@ class PropertyTable {
   /// cheap to scan despite its width. A parallel `exec` scans partitions
   /// concurrently (each writes its own output chunk, so output is
   /// bit-identical to serial); cost charges stay on the calling thread.
-  /// When the table is paged (EnablePaging), row groups are skipped
-  /// before decode whenever (a) a zone map excludes a constant or an
-  /// equality-`hint` id for the column its variable binds, or (b) any
-  /// touched predicate column is all-NULL in the group (every row of the
-  /// group would lose that pattern anyway); the key bloom filter skips
-  /// whole partitions on constant-key lookups. Results are bit-identical
-  /// to the in-memory path; skips lower the scan's cost charges and are
-  /// reported through `telemetry` when given.
+  /// Row groups are skipped before decode whenever (a) a zone map
+  /// excludes a constant or an equality-`hint` id for the column its
+  /// variable binds, or (b) any touched predicate column is all-NULL in
+  /// the group (every row of the group would lose that pattern anyway);
+  /// the key bloom filter skips whole partitions on constant-key lookups.
+  /// Skips never change the result; they lower the scan's cost charges,
+  /// and a scan that skips nothing charges exactly ScanPlannerBytes.
+  /// What the scan did is reported through `telemetry` when given.
   Result<engine::Relation> Scan(const PatternTerm& key,
                                 const std::vector<ColumnPattern>& patterns,
                                 cluster::CostModel& cost,
@@ -92,14 +104,6 @@ class PropertyTable {
   /// whose predicate has no column (or whose constant cannot exist) touch
   /// nothing, matching the Scan charging rules.
   uint64_t ScanPlannerBytes(const std::vector<ColumnPattern>& patterns) const;
-
-  /// Switches to paged row-group execution: partitions are repacked
-  /// into PagedTables, decoded columns are released, and scans decode
-  /// chunks through `pool` pins. Call once, after construction; `pool`
-  /// must outlive the table.
-  void EnablePaging(columnar::BufferPool* pool, uint32_t row_group_rows = 0);
-
-  bool paged_mode() const { return !paged_.empty(); }
 
   uint32_t num_workers() const { return num_workers_; }
   uint64_t num_rows() const { return num_rows_; }
@@ -118,21 +122,21 @@ class PropertyTable {
   uint32_t num_workers_ = 0;
   uint64_t num_rows_ = 0;
   bool keyed_on_object_ = false;
-  /// Rows in partition `w` (representation-independent).
-  size_t PartitionRows(uint32_t w) const {
-    return paged_mode() ? paged_[w].num_rows() : partitions_[w].num_rows();
-  }
-  /// The shared partition schema (representation-independent).
-  const columnar::Schema& PartitionSchema() const {
-    return paged_mode() ? paged_[0].schema() : partitions_[0].schema();
-  }
+
+  /// Table column of each pattern, or -1 when its predicate has no
+  /// column or its constant cannot exist (the pattern touches nothing).
+  std::vector<int> PatternColumns(
+      const std::vector<ColumnPattern>& patterns) const;
+
+  /// Appends partition `part`: its per-column lexical size estimates and
+  /// its row-group form.
+  void AddPartition(const columnar::StoredTable& part,
+                    const std::vector<uint32_t>& term_lengths,
+                    uint32_t row_group_rows);
 
   /// partitions_[w]: column 0 is the key ("s"), then predicate columns.
-  /// Emptied to schema-shaped husks once EnablePaging ran.
-  std::vector<columnar::StoredTable> partitions_;
-  /// Paged (encoded row-group) form; non-empty once EnablePaging ran.
-  std::vector<columnar::PagedTable> paged_;
-  columnar::BufferPool* pool_ = nullptr;  // Non-owning; set by EnablePaging.
+  std::vector<columnar::PagedTable> partitions_;
+  columnar::BufferPool* pool_ = nullptr;  // Non-owning.
   /// Per-partition, per-column serialized-byte estimates (scan charges).
   std::vector<std::vector<uint64_t>> column_bytes_;
   std::map<rdf::TermId, size_t> column_of_predicate_;

@@ -49,20 +49,9 @@ Result<std::unique_ptr<ProstDb>> ProstDb::LoadFromGraph(
       std::make_shared<const rdf::EncodedGraph>(std::move(graph)), options);
 }
 
-void ProstDb::EnablePagingIfConfigured() {
-  if (options_.storage.buffer_pool_bytes == 0) return;
+void ProstDb::InitBufferPool() {
   buffer_pool_ = std::make_unique<columnar::BufferPool>(
       options_.storage.buffer_pool_bytes, &metrics_);
-  // Last load step by contract (see header): the PagedTables built here
-  // key the pool's pages by address, so storage must not move again.
-  vp_.EnablePaging(buffer_pool_.get(), options_.storage.row_group_rows);
-  if (options_.use_property_table) {
-    pt_.EnablePaging(buffer_pool_.get(), options_.storage.row_group_rows);
-  }
-  if (options_.use_reverse_property_table) {
-    reverse_pt_.EnablePaging(buffer_pool_.get(),
-                             options_.storage.row_group_rows);
-  }
 }
 
 void ProstDb::InitThreadPool() {
@@ -78,6 +67,7 @@ Result<std::unique_ptr<ProstDb>> ProstDb::LoadFromSharedGraph(
   auto db = std::unique_ptr<ProstDb>(new ProstDb());
   db->options_ = options;
   db->InitThreadPool();
+  db->InitBufferPool();
   db->graph_ = std::move(graph);
 
   const uint64_t triples = db->graph_->size();
@@ -97,14 +87,18 @@ Result<std::unique_ptr<ProstDb>> ProstDb::LoadFromSharedGraph(
       &db->stats_.per_predicate(), &db->char_sets_);
 
   // Build storage.
-  db->vp_ = VpStore::Build(*db->graph_, workers);
+  columnar::BufferPool& pool = *db->buffer_pool_;
+  const uint32_t group_rows = options.storage.row_group_rows;
+  db->vp_ = VpStore::Build(*db->graph_, workers, pool, group_rows);
   if (options.use_property_table) {
     db->pt_ = PropertyTable::Build(*db->graph_, db->stats_, workers,
-                                   /*keyed_on_object=*/false);
+                                   /*keyed_on_object=*/false, pool,
+                                   group_rows);
   }
   if (options.use_reverse_property_table) {
     db->reverse_pt_ = PropertyTable::Build(*db->graph_, db->stats_, workers,
-                                           /*keyed_on_object=*/true);
+                                           /*keyed_on_object=*/true, pool,
+                                           group_rows);
   }
 
   // Simulated loading cost: one ingest pass (parse text, dictionary
@@ -154,7 +148,6 @@ Result<std::unique_ptr<ProstDb>> ProstDb::LoadFromSharedGraph(
       (options.use_reverse_property_table
            ? db->reverse_pt_.TotalBytesEstimate()
            : 0);
-  db->EnablePagingIfConfigured();
   db->load_report_.real_load_millis = timer.ElapsedMillis();
   return db;
 }
@@ -420,14 +413,10 @@ Result<std::unique_ptr<ProstDb>> ProstDb::OpenFrom(const std::string& dir,
   std::map<rdf::TermId, rdf::PredicateStats> per_predicate;
   stats::CharacteristicSets::Builder char_set_builder;
   for (PendingTable& p : pending) {
-    VpStore::PredicateTable table;
     rdf::PredicateStats stats;
     std::unordered_set<rdf::TermId> subjects, objects;
-    for (columnar::StoredTable& part : p.partitions) {
-      table.total_rows += part.num_rows();
-      table.partition_bytes.push_back(
-          columnar::LexicalColumnSizeEstimate(part.column(0), term_lengths) +
-          columnar::LexicalColumnSizeEstimate(part.column(1), term_lengths));
+    for (const columnar::StoredTable& part : p.partitions) {
+      stats.triple_count += part.num_rows();
       for (rdf::TermId id : part.column(0).ids()) {
         subjects.insert(id);
         // Every VP row is one (subject, predicate) pair, so the
@@ -439,18 +428,21 @@ Result<std::unique_ptr<ProstDb>> ProstDb::OpenFrom(const std::string& dir,
         objects.insert(id);
         if (dictionary.IsLiteralId(id)) ++stats.literal_objects;
       }
-      table.partitions.push_back(std::move(part));
     }
-    stats.triple_count = table.total_rows;
     stats.distinct_subjects = subjects.size();
     stats.distinct_objects = objects.size();
     per_predicate.emplace(p.predicate, stats);
-    tables.emplace(p.predicate, std::move(table));
+    // PackTable consumes the decoded partitions, so the decoded and the
+    // encoded copy never both hold the whole dataset.
+    tables.emplace(p.predicate,
+                   VpStore::PackTable(std::move(p.partitions), term_lengths,
+                                      options.storage.row_group_rows));
   }
 
   auto db = std::unique_ptr<ProstDb>(new ProstDb());
   db->options_ = options;
   db->InitThreadPool();
+  db->InitBufferPool();
   db->stats_ = DatasetStatistics::FromPerPredicate(std::move(per_predicate));
   if (stats_flag == 1) {
     PROST_ASSIGN_OR_RETURN(
@@ -462,17 +454,20 @@ Result<std::unique_ptr<ProstDb>> ProstDb::OpenFrom(const std::string& dir,
   }
   db->estimator_ = std::make_unique<stats::CardinalityEstimator>(
       &db->stats_.per_predicate(), &db->char_sets_);
-  db->vp_ = VpStore::Assemble(workers, std::move(tables));
+  columnar::BufferPool& pool = *db->buffer_pool_;
+  const uint32_t group_rows = options.storage.row_group_rows;
+  db->vp_ = VpStore::Assemble(workers, std::move(tables), pool);
   if (options.use_property_table) {
     PROST_ASSIGN_OR_RETURN(
-        db->pt_, PropertyTable::Assemble(std::move(pt_partitions),
-                                         dictionary, false));
+        db->pt_, PropertyTable::Assemble(std::move(pt_partitions), dictionary,
+                                         /*keyed_on_object=*/false, pool,
+                                         group_rows));
   }
   if (options.use_reverse_property_table) {
     PROST_ASSIGN_OR_RETURN(
         db->reverse_pt_,
         PropertyTable::Assemble(std::move(ptrev_partitions), dictionary,
-                                true));
+                                /*keyed_on_object=*/true, pool, group_rows));
   }
   db->graph_ = std::move(graph);  // Dictionary only; no raw triples kept.
   db->load_report_.input_triples = db->stats_.total_triples();
@@ -482,7 +477,6 @@ Result<std::unique_ptr<ProstDb>> ProstDb::OpenFrom(const std::string& dir,
       (options.use_reverse_property_table
            ? db->reverse_pt_.TotalBytesEstimate()
            : 0);
-  db->EnablePagingIfConfigured();
   db->load_report_.real_load_millis = timer.ElapsedMillis();
   return db;
 }

@@ -5,11 +5,21 @@
 #include <string>
 #include <vector>
 
+#include "columnar/column.h"
 #include "rdf/triple.h"
 
 namespace prost::core {
 
-/// One pushed-filter fact a paged scan may prune with: rows where
+/// Zone-map test: can any row of a chunk with these stats bind `id`?
+/// NULLs never participate in min/max, and an all-NULL chunk
+/// (value_count == 0) admits nothing, so the interval test is exact on
+/// ids.
+inline bool ZoneMayContain(const columnar::ColumnStats& stats,
+                           rdf::TermId id) {
+  return stats.value_count != 0 && id >= stats.min_id && id <= stats.max_id;
+}
+
+/// One pushed-filter fact a scan may prune with: rows where
 /// `variable` binds to anything but `id` will be removed by the scan
 /// node's own pushed filters, so row groups whose zone maps exclude `id`
 /// (and partitions whose bloom filters exclude it, for key columns) can
@@ -29,11 +39,10 @@ struct ScanHints {
   std::vector<ScanEqualityHint> equals;
 };
 
-/// What a paged scan did, for EXPLAIN ANALYZE and the smoke guards.
-/// Stays zero on the in-memory path (telemetry doubles as the "was this
-/// scan paged" signal).
+/// What a scan's pruning did, for EXPLAIN ANALYZE and the smoke guards.
+/// A scan that skips nothing has `bytes_scanned` equal to the planner's
+/// estimate of the same scan.
 struct ScanTelemetry {
-  uint64_t row_groups_total = 0;
   uint64_t row_groups_skipped = 0;
   uint64_t partitions_skipped = 0;
   /// Scan bytes actually charged (lexical cost domain — comparable to

@@ -26,9 +26,9 @@ std::string SpanLine(const Span& span, const ReportOptions& options) {
   if (!span.children.empty()) {
     line += StrFormat(" (total=%.3fms)", span.total_charge_millis);
   }
-  if (span.storage_paged) {
-    // Paged scan: planner estimate vs. bytes actually charged after
-    // zone-map / bloom pruning, plus what the pruning skipped.
+  if (span.kind == SpanKind::kScan) {
+    // Planner estimate vs. bytes actually charged after zone-map / bloom
+    // pruning, plus what the pruning skipped.
     line += "  bytes=" + HumanBytes(span.storage_bytes_estimated) + "/" +
             HumanBytes(span.bytes_scanned);
     line += StrFormat(
@@ -100,7 +100,7 @@ void RenderJson(const QueryProfile& profile, int32_t id, int indent,
   out += pad +
          StrFormat("  \"bytes_broadcast\": %llu,\n",
                    static_cast<unsigned long long>(span.bytes_broadcast));
-  if (span.storage_paged) {
+  if (span.kind == SpanKind::kScan) {
     out += pad + StrFormat(
                      "  \"storage_bytes_estimated\": %llu,\n",
                      static_cast<unsigned long long>(

@@ -51,11 +51,10 @@ struct Span {
   double wall_millis = 0;          // real time; varies with threads
   double estimated_rows = -1;      // planner estimate; < 0 = none
 
-  // Paged-storage telemetry (scan spans only, and only when the scan ran
-  // through the buffer pool). `bytes_scanned` above is then the *actual*
-  // charge after zone-map / bloom skipping; `storage_bytes_estimated` is
-  // what the planner assumed (the unpruned scan size).
-  bool storage_paged = false;
+  // Storage telemetry (scan spans only). `bytes_scanned` above is the
+  // *actual* charge after zone-map / bloom skipping;
+  // `storage_bytes_estimated` is what the planner assumed (the unpruned
+  // scan size). With nothing skipped the two are equal.
   uint64_t storage_bytes_estimated = 0;
   uint64_t row_groups_skipped = 0;
   uint64_t partitions_skipped = 0;
@@ -145,13 +144,12 @@ class OperatorSpan {
     if (active()) Mutable().estimated_rows = rows;
   }
 
-  /// Marks the span as a paged-storage scan and records what the pruning
-  /// pass did (see Span's paged-storage fields).
+  /// Records a scan's planner estimate and what its pruning pass did
+  /// (see Span's storage fields).
   void SetStorage(uint64_t estimated_bytes, uint64_t row_groups_skipped,
                   uint64_t partitions_skipped) {
     if (!active()) return;
     Span& span = Mutable();
-    span.storage_paged = true;
     span.storage_bytes_estimated = estimated_bytes;
     span.row_groups_skipped = row_groups_skipped;
     span.partitions_skipped = partitions_skipped;

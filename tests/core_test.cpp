@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 
+#include "columnar/buffer_pool.h"
 #include "common/io.h"
 
 #include "core/executor.h"
@@ -113,7 +114,8 @@ TEST(StatisticsTest, PairwiseSubjectOverlap) {
 
 TEST(VpStoreTest, BuildShape) {
   rdf::EncodedGraph graph = SmallGraph();
-  VpStore vp = VpStore::Build(graph, 3);
+  columnar::BufferPool pool(0);  // Unbounded.
+  VpStore vp = VpStore::Build(graph, 3, pool);
   EXPECT_EQ(vp.num_predicates(), 4u);
   const auto* likes = vp.Find(IdOf(graph, "<likes>"));
   ASSERT_NE(likes, nullptr);
@@ -125,7 +127,8 @@ TEST(VpStoreTest, BuildShape) {
 
 TEST(VpStoreTest, ScanOpenPattern) {
   rdf::EncodedGraph graph = SmallGraph();
-  VpStore vp = VpStore::Build(graph, 3);
+  columnar::BufferPool pool(0);  // Unbounded.
+  VpStore vp = VpStore::Build(graph, 3, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   auto relation = vp.Scan(IdOf(graph, "<likes>"), PatternTerm::Var("s"),
@@ -141,7 +144,8 @@ TEST(VpStoreTest, ScanOpenPattern) {
 
 TEST(VpStoreTest, ScanConstants) {
   rdf::EncodedGraph graph = SmallGraph();
-  VpStore vp = VpStore::Build(graph, 3);
+  columnar::BufferPool pool(0);  // Unbounded.
+  VpStore vp = VpStore::Build(graph, 3, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   // Constant subject.
@@ -174,7 +178,8 @@ TEST(VpStoreTest, ScanSameVariableTwice) {
   rdf::EncodedGraph graph;
   graph.Add({Term::Iri("a"), Term::Iri("p"), Term::Iri("a")});
   graph.Add({Term::Iri("a"), Term::Iri("p"), Term::Iri("b")});
-  VpStore vp = VpStore::Build(graph, 2);
+  columnar::BufferPool pool(0);  // Unbounded.
+  VpStore vp = VpStore::Build(graph, 2, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   auto relation = vp.Scan(IdOf(graph, "<p>"), PatternTerm::Var("x"),
@@ -187,7 +192,8 @@ TEST(VpStoreTest, ScanSameVariableTwice) {
 
 TEST(VpStoreTest, NoVariablesIsUnimplemented) {
   rdf::EncodedGraph graph = SmallGraph();
-  VpStore vp = VpStore::Build(graph, 2);
+  columnar::BufferPool pool(0);  // Unbounded.
+  VpStore vp = VpStore::Build(graph, 2, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   auto result = vp.Scan(IdOf(graph, "<likes>"), PatternTerm::Const(1),
                         PatternTerm::Const(2), cost);
@@ -199,7 +205,9 @@ TEST(VpStoreTest, NoVariablesIsUnimplemented) {
 TEST(PropertyTableTest, BuildShape) {
   rdf::EncodedGraph graph = SmallGraph();
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
-  PropertyTable pt = PropertyTable::Build(graph, stats, 3);
+  columnar::BufferPool pool(0);  // Unbounded.
+  PropertyTable pt = PropertyTable::Build(graph, stats, 3,
+                                          /*keyed_on_object=*/false, pool);
   // Distinct subjects: u1, u2, u3, p1, p2.
   EXPECT_EQ(pt.num_rows(), 5u);
   // Columns: key + 4 predicates.
@@ -212,7 +220,9 @@ TEST(PropertyTableTest, BuildShape) {
 TEST(PropertyTableTest, StarScanJoinsWithinRow) {
   rdf::EncodedGraph graph = SmallGraph();
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
-  PropertyTable pt = PropertyTable::Build(graph, stats, 3);
+  columnar::BufferPool pool(0);  // Unbounded.
+  PropertyTable pt = PropertyTable::Build(graph, stats, 3,
+                                          /*keyed_on_object=*/false, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   // ?s likes ?o . ?s age ?a  -> only u1 (x2 products) and u2 (x1).
@@ -242,7 +252,9 @@ TEST(PropertyTableTest, ListExplosionCrossProduct) {
   add("s", "q", "z");
   add("t", "p", "a");  // makes p multi-valued overall but t lacks q
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
-  PropertyTable pt = PropertyTable::Build(graph, stats, 2);
+  columnar::BufferPool pool(0);  // Unbounded.
+  PropertyTable pt = PropertyTable::Build(graph, stats, 2,
+                                          /*keyed_on_object=*/false, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   std::vector<PropertyTable::ColumnPattern> patterns = {
@@ -258,7 +270,9 @@ TEST(PropertyTableTest, ListExplosionCrossProduct) {
 TEST(PropertyTableTest, ConstantsAndRepeatedVariables) {
   rdf::EncodedGraph graph = SmallGraph();
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
-  PropertyTable pt = PropertyTable::Build(graph, stats, 3);
+  columnar::BufferPool pool(0);  // Unbounded.
+  PropertyTable pt = PropertyTable::Build(graph, stats, 3,
+                                          /*keyed_on_object=*/false, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   // Constant object: ?s likes p1 . ?s age ?a
@@ -297,7 +311,9 @@ TEST(PropertyTableTest, ConstantsAndRepeatedVariables) {
 TEST(PropertyTableTest, AbsentPredicateYieldsEmpty) {
   rdf::EncodedGraph graph = SmallGraph();
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
-  PropertyTable pt = PropertyTable::Build(graph, stats, 3);
+  columnar::BufferPool pool(0);  // Unbounded.
+  PropertyTable pt = PropertyTable::Build(graph, stats, 3,
+                                          /*keyed_on_object=*/false, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   std::vector<PropertyTable::ColumnPattern> patterns = {
@@ -314,8 +330,9 @@ TEST(PropertyTableTest, AbsentPredicateYieldsEmpty) {
 TEST(PropertyTableTest, ReverseTableGroupsByObject) {
   rdf::EncodedGraph graph = SmallGraph();
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
+  columnar::BufferPool pool(0);  // Unbounded.
   PropertyTable reverse = PropertyTable::Build(graph, stats, 3,
-                                               /*keyed_on_object=*/true);
+                                               /*keyed_on_object=*/true, pool);
   EXPECT_TRUE(reverse.keyed_on_object());
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
@@ -535,19 +552,6 @@ TEST(ExecutorTest, UnknownConstantGivesEmptyResult) {
       "SELECT * WHERE { ?s <likes> <no-such-product> . }");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->num_rows(), 0u);
-}
-
-TEST(ExecutorTest, EmptyTreeRejected) {
-  ProstDb::Options options;
-  auto db = ProstDb::LoadFromGraph(SmallGraph(), options);
-  ASSERT_TRUE(db.ok());
-  JoinTree empty;
-  sparql::Query query;
-  cluster::CostModel cost(options.cluster);
-  auto result = ExecuteJoinTree(empty, query, (*db)->vp_store(), nullptr,
-                                nullptr, options.join, (*db)->dictionary(),
-                                cost);
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ProstDbTest, LoadFromNTriplesAndReports) {
