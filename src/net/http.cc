@@ -14,6 +14,16 @@ namespace {
 constexpr std::string_view kCrlf = "\r\n";
 constexpr std::string_view kHeaderTerminator = "\r\n\r\n";
 
+/// Response-parser bounds: a status line plus headers, one chunk-size or
+/// trailer line, and the hex digits of a chunk size (15 of them stay far
+/// below size_t overflow).
+constexpr size_t kMaxResponseHeadBytes = 64 * 1024;
+constexpr size_t kMaxChunkLineBytes = 1024;
+constexpr size_t kMaxLengthDigits = 15;
+/// Content-Length pre-reservation cap: a hostile length must not become
+/// one giant allocation before any body byte arrived.
+constexpr size_t kMaxBodyReserve = 64 * 1024 * 1024;
+
 std::string ToLowerAscii(std::string_view text) {
   std::string out(text);
   std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
@@ -226,20 +236,50 @@ HttpParser::Outcome HttpParser::Next(HttpRequest* request) {
   return Outcome::kRequest;
 }
 
-std::string HttpResponse::Serialize() const {
-  std::string out = StrFormat("HTTP/1.1 %d %s\r\n", status,
-                              HttpReasonPhrase(status));
-  for (const auto& [name, value] : headers) {
+namespace {
+
+/// Status line plus the explicit headers, without the framing and
+/// Connection headers or the blank line.
+std::string StatusAndHeaders(const HttpResponse& response) {
+  std::string out = StrFormat("HTTP/1.1 %d %s\r\n", response.status,
+                              HttpReasonPhrase(response.status));
+  for (const auto& [name, value] : response.headers) {
     out += name;
     out += ": ";
     out += value;
     out += "\r\n";
   }
+  return out;
+}
+
+}  // namespace
+
+std::string HttpResponse::Serialize() const {
+  std::string out = StatusAndHeaders(*this);
   out += StrFormat("Content-Length: %zu\r\n", body.size());
   out += keep_alive ? "Connection: keep-alive\r\n" : "Connection: close\r\n";
   out += "\r\n";
   out += body;
   return out;
+}
+
+std::string HttpResponse::SerializeStreamHead(bool chunked) const {
+  std::string out = StatusAndHeaders(*this);
+  if (chunked) {
+    out += "Transfer-Encoding: chunked\r\n";
+    out += keep_alive ? "Connection: keep-alive\r\n"
+                      : "Connection: close\r\n";
+  } else {
+    out += "Connection: close\r\n";
+  }
+  out += "\r\n";
+  return out;
+}
+
+void AppendHttpChunk(std::string_view data, std::string* out) {
+  out->append(StrFormat("%zx\r\n", data.size()));
+  out->append(data);
+  out->append(kCrlf);
 }
 
 const char* HttpReasonPhrase(int status) {
@@ -362,19 +402,127 @@ const std::string* HttpResponseParser::Response::FindHeader(
   return FindInHeaders(headers, name);
 }
 
-HttpParser::Outcome HttpResponseParser::Fail(std::string message) {
-  error_ = {0, std::move(message)};
-  return HttpParser::Outcome::kError;
+void HttpResponseParser::Feed(std::string_view bytes) {
+  if (buffer_.empty()) {
+    // The common case: parse straight out of the caller's bytes and keep
+    // only what could not be consumed yet.
+    const size_t used = Consume(bytes);
+    buffer_.append(bytes.substr(used));
+    return;
+  }
+  buffer_.append(bytes);
+  buffer_.erase(0, Consume(buffer_));
 }
 
 HttpParser::Outcome HttpResponseParser::Next(Response* response) {
-  size_t line_end = buffer_.find(kCrlf);
-  if (line_end == std::string::npos) return HttpParser::Outcome::kNeedMore;
-  size_t terminator = buffer_.find(kHeaderTerminator);
-  if (terminator == std::string::npos) return HttpParser::Outcome::kNeedMore;
+  if (state_ == State::kError) return HttpParser::Outcome::kError;
+  if (state_ != State::kComplete) return HttpParser::Outcome::kNeedMore;
+  *response = std::move(current_);
+  current_ = Response();
+  state_ = State::kHead;
+  // A keep-alive follower may already be buffered.
+  buffer_.erase(0, Consume(buffer_));
+  return HttpParser::Outcome::kRequest;
+}
+
+size_t HttpResponseParser::Fail(std::string message) {
+  state_ = State::kError;
+  error_ = {0, std::move(message)};
+  return 0;
+}
+
+size_t HttpResponseParser::Consume(std::string_view input) {
+  size_t position = 0;
+  while (true) {
+    const std::string_view rest = input.substr(position);
+    switch (state_) {
+      case State::kHead: {
+        const size_t used = ParseHead(rest);
+        if (used == 0) return position;
+        position += used;
+        break;
+      }
+      case State::kFixedBody:
+      case State::kChunkData: {
+        const size_t take = std::min(remaining_, rest.size());
+        current_.body.append(rest.data(), take);
+        remaining_ -= take;
+        position += take;
+        if (remaining_ > 0) return position;
+        state_ = state_ == State::kFixedBody ? State::kComplete
+                                             : State::kChunkDataEnd;
+        break;
+      }
+      case State::kChunkDataEnd: {
+        if (rest.size() < kCrlf.size()) {
+          if (!rest.empty() && rest[0] != '\r') {
+            Fail("chunk data not followed by CRLF");
+          }
+          return position;
+        }
+        if (rest.substr(0, kCrlf.size()) != kCrlf) {
+          Fail("chunk data not followed by CRLF");
+          return position;
+        }
+        position += kCrlf.size();
+        state_ = State::kChunkSize;
+        break;
+      }
+      case State::kChunkSize:
+      case State::kTrailer: {
+        const size_t line_end = rest.find(kCrlf);
+        const size_t line_bytes =
+            line_end == std::string_view::npos ? rest.size() : line_end;
+        if (line_bytes > kMaxChunkLineBytes) {
+          Fail(StrFormat("chunk-size or trailer line exceeds %zu bytes",
+                         kMaxChunkLineBytes));
+          return position;
+        }
+        if (line_end == std::string_view::npos) return position;
+        position += line_end + kCrlf.size();
+        if (state_ == State::kTrailer) {
+          // Trailer fields carry nothing this client reads; the blank
+          // line ends the response.
+          if (line_end == 0) state_ = State::kComplete;
+          break;
+        }
+        // chunk-size [ ";" chunk-ext ]: extensions are ignored.
+        std::string_view digits = rest.substr(0, line_end);
+        digits = digits.substr(0, digits.find(';'));
+        if (digits.empty() || digits.size() > kMaxLengthDigits ||
+            !std::all_of(digits.begin(), digits.end(), IsHexDigit)) {
+          Fail("malformed chunk size");
+          return position;
+        }
+        size_t size = 0;
+        for (char c : digits) {
+          size = size * 16 + static_cast<size_t>(HexValue(c));
+        }
+        remaining_ = size;
+        state_ = size == 0 ? State::kTrailer : State::kChunkData;
+        break;
+      }
+      case State::kComplete:
+      case State::kError:
+        return position;
+    }
+  }
+}
+
+size_t HttpResponseParser::ParseHead(std::string_view input) {
+  const size_t terminator = input.find(kHeaderTerminator);
+  const size_t head_bytes = terminator == std::string_view::npos
+                                ? input.size()
+                                : terminator + kHeaderTerminator.size();
+  if (head_bytes > kMaxResponseHeadBytes) {
+    return Fail(StrFormat("response head exceeds %zu bytes",
+                          kMaxResponseHeadBytes));
+  }
+  if (terminator == std::string_view::npos) return 0;
 
   // Status line: HTTP/1.x SP 3-digit-code SP reason-phrase.
-  std::string_view line(buffer_.data(), line_end);
+  const size_t line_end = input.find(kCrlf);
+  std::string_view line = input.substr(0, line_end);
   size_t first_space = line.find(' ');
   if (first_space == std::string_view::npos ||
       line.substr(0, 5) != "HTTP/") {
@@ -385,37 +533,41 @@ HttpParser::Outcome HttpResponseParser::Next(Response* response) {
                                   code_text[0]))) {
     return Fail("malformed status code");
   }
+  current_.version = std::string(line.substr(0, first_space));
+  current_.status = (code_text[0] - '0') * 100 + (code_text[1] - '0') * 10 +
+                    (code_text[2] - '0');
 
-  Response parsed;
-  parsed.version = std::string(line.substr(0, first_space));
-  parsed.status = (code_text[0] - '0') * 100 + (code_text[1] - '0') * 10 +
-                  (code_text[2] - '0');
-
-  size_t headers_begin = line_end + kCrlf.size();
+  const size_t headers_begin = line_end + kCrlf.size();
   std::string header_error = ParseHeaderLines(
-      std::string_view(buffer_.data() + headers_begin,
-                       terminator + kCrlf.size() - headers_begin),
-      &parsed.headers);
+      input.substr(headers_begin, terminator + kCrlf.size() - headers_begin),
+      &current_.headers);
   if (!header_error.empty()) return Fail(std::move(header_error));
 
-  size_t body_bytes = 0;
-  const std::string* content_length = parsed.FindHeader("content-length");
-  if (content_length != nullptr) {
-    if (content_length->find_first_not_of("0123456789") !=
-        std::string::npos) {
+  // Framing: chunked wins over Content-Length (RFC 9112 §6.3); neither
+  // means no body.
+  const std::string* transfer_encoding =
+      current_.FindHeader("transfer-encoding");
+  const std::string* content_length = current_.FindHeader("content-length");
+  if (transfer_encoding != nullptr) {
+    if (ToLowerAscii(*transfer_encoding) != "chunked") {
+      return Fail("unsupported Transfer-Encoding: " + *transfer_encoding);
+    }
+    state_ = State::kChunkSize;
+  } else if (content_length != nullptr) {
+    if (content_length->empty() ||
+        content_length->size() > kMaxLengthDigits ||
+        content_length->find_first_not_of("0123456789") !=
+            std::string::npos) {
       return Fail("malformed Content-Length");
     }
-    body_bytes = static_cast<size_t>(
+    remaining_ = static_cast<size_t>(
         std::strtoull(content_length->c_str(), nullptr, 10));
+    current_.body.reserve(std::min(remaining_, kMaxBodyReserve));
+    state_ = remaining_ > 0 ? State::kFixedBody : State::kComplete;
+  } else {
+    state_ = State::kComplete;
   }
-  size_t body_begin = terminator + kHeaderTerminator.size();
-  if (buffer_.size() - body_begin < body_bytes) {
-    return HttpParser::Outcome::kNeedMore;
-  }
-  parsed.body = buffer_.substr(body_begin, body_bytes);
-  buffer_.erase(0, body_begin + body_bytes);
-  *response = std::move(parsed);
-  return HttpParser::Outcome::kRequest;
+  return head_bytes;
 }
 
 }  // namespace prost::net

@@ -11,12 +11,13 @@
 
 /// A minimal-but-correct HTTP/1.1 layer: exactly the surface the SPARQL
 /// protocol endpoint needs (request line + headers + Content-Length
-/// bodies + keep-alive), none it does not (no chunked bodies, no
-/// trailers, no HTTP/2). The request parser is incremental and
-/// byte-stream agnostic — the server feeds it recv(2) fragments, the
-/// parser-tier tests feed it hand-torn byte slices with no socket in
-/// sight — and every size limit maps to the HTTP status the RFC assigns
-/// (431 for request-line/header overflow, 413 for body overflow).
+/// request bodies + keep-alive; Content-Length, chunked or
+/// close-delimited response bodies), none it does not (no chunked
+/// request bodies, no HTTP/2). Both parsers are incremental and
+/// byte-stream agnostic — the server feeds them recv(2) fragments, the
+/// parser-tier tests feed them hand-torn byte slices with no socket in
+/// sight — and every request size limit maps to the HTTP status the RFC
+/// assigns (431 for request-line/header overflow, 413 for body overflow).
 
 namespace prost::net {
 
@@ -99,8 +100,8 @@ class HttpParser {
 };
 
 /// One response to serialize. `Serialize` renders status line, the
-/// explicit headers, a computed Content-Length, and the standard
-/// Connection header for `keep_alive`.
+/// explicit headers, a computed Content-Length, the standard Connection
+/// header for `keep_alive`, and the body.
 struct HttpResponse {
   int status = 200;
   std::vector<std::pair<std::string, std::string>> headers;
@@ -111,7 +112,18 @@ struct HttpResponse {
     headers.emplace_back(std::move(name), std::move(value));
   }
   std::string Serialize() const;
+  /// The head alone, for a body of unknown length streamed after it
+  /// (`body` is ignored): `Transfer-Encoding: chunked` when `chunked`;
+  /// otherwise no length at all, which HTTP/1.0 peers read as "the body
+  /// ends when the connection closes", so `Connection: close` regardless
+  /// of `keep_alive`.
+  std::string SerializeStreamHead(bool chunked) const;
 };
+
+/// Appends one chunked-transfer chunk (hex size line, `data`, CRLF) to
+/// `out`. Empty `data` would be the terminal chunk; callers write that as
+/// the literal "0\r\n\r\n" instead.
+void AppendHttpChunk(std::string_view data, std::string* out);
 
 /// The canonical reason phrase for the status codes this server emits
 /// ("OK", "Bad Request", ...); "Unknown" otherwise.
@@ -144,8 +156,20 @@ Result<std::vector<std::pair<std::string, std::string>>> ParseFormEncoded(
     std::string_view text);
 
 /// Incremental HTTP/1.1 *response* parser (the client side). Same
-/// feeding contract as HttpParser; responses must carry Content-Length
-/// (ours always do).
+/// feeding contract as HttpParser. Feed parses as it goes: the head is
+/// parsed once, body bytes are appended straight into Response::body
+/// (reserved to Content-Length when there is one), and chunked framing
+/// is decoded incrementally, so the parser itself buffers at most a
+/// partial head, chunk-size line or bytes that arrived after a complete
+/// response. A response with neither Content-Length nor chunked framing
+/// has an empty body: this client speaks HTTP/1.1, which our server
+/// never answers with a close-delimited body.
+///
+/// Rejected (kError): malformed status line or headers, a head over
+/// 64 KiB, a non-numeric or over-long Content-Length, a
+/// Transfer-Encoding other than `chunked`, a chunk size that is not 1-15
+/// hex digits, a chunk-size or trailer line over 1 KiB, and chunk data
+/// not followed by CRLF.
 class HttpResponseParser {
  public:
   struct Response {
@@ -157,7 +181,7 @@ class HttpResponseParser {
     const std::string* FindHeader(std::string_view name) const;
   };
 
-  void Feed(std::string_view bytes) { buffer_.append(bytes); }
+  void Feed(std::string_view bytes);
 
   /// kRequest is reused to mean "one complete response parsed".
   HttpParser::Outcome Next(Response* response);
@@ -165,8 +189,28 @@ class HttpResponseParser {
   const HttpParseError& error() const { return error_; }
 
  private:
-  HttpParser::Outcome Fail(std::string message);
+  enum class State {
+    kHead,          // Waiting for the blank line that ends the head.
+    kFixedBody,     // Content-Length bytes outstanding.
+    kChunkSize,     // Waiting for a chunk-size line.
+    kChunkData,     // Chunk bytes outstanding.
+    kChunkDataEnd,  // Waiting for the CRLF after a chunk's data.
+    kTrailer,       // After the last chunk: trailer lines up to a blank.
+    kComplete,      // current_ is done; Next hands it out.
+    kError,
+  };
 
+  /// Advances the state machine over `input`; returns the bytes consumed.
+  /// Stops early at kComplete/kError or when a line is incomplete.
+  size_t Consume(std::string_view input);
+  size_t ParseHead(std::string_view input);
+  size_t Fail(std::string message);
+
+  State state_ = State::kHead;
+  Response current_;
+  /// Body or chunk bytes still expected in kFixedBody / kChunkData.
+  size_t remaining_ = 0;
+  /// Unconsumed input: a partial line, or bytes after a complete response.
   std::string buffer_;
   HttpParseError error_;
 };

@@ -1,8 +1,7 @@
 #include "net/result_writer.h"
 
 #include <cctype>
-#include <map>
-#include <memory>
+#include <charconv>
 #include <utility>
 #include <vector>
 
@@ -224,34 +223,116 @@ class JsonReader {
   size_t position_ = 0;
 };
 
-/// One typed binding object: {"type": ..., "value": ..., ...}.
-std::string BindingJson(const rdf::Term& term) {
+constexpr std::string_view kXsdInteger =
+    "http://www.w3.org/2001/XMLSchema#integer";
+
+/// One typed binding object: {"type":…,"value":…} plus, when
+/// `attribute` is set, one more string member ("xml:lang" or
+/// "datatype").
+void AppendBinding(std::string_view type, std::string_view value,
+                   std::string_view attribute,
+                   std::string_view attribute_value, std::string* out) {
+  out->append("{\"type\":\"");
+  out->append(type);
+  out->append("\",\"value\":\"");
+  AppendJsonEscaped(value, out);
+  if (!attribute.empty()) {
+    out->append("\",\"");
+    out->append(attribute);
+    out->append("\":\"");
+    AppendJsonEscaped(attribute_value, out);
+  }
+  out->append("\"}");
+}
+
+void AppendBindingJson(const rdf::Term& term, std::string* out) {
   switch (term.kind) {
     case rdf::TermKind::kIri:
-      return StrFormat("{\"type\":\"uri\",\"value\":\"%s\"}",
-                       JsonEscape(term.value).c_str());
+      return AppendBinding("uri", term.value, "", "", out);
     case rdf::TermKind::kBlank:
-      return StrFormat("{\"type\":\"bnode\",\"value\":\"%s\"}",
-                       JsonEscape(term.value).c_str());
+      return AppendBinding("bnode", term.value, "", "", out);
     case rdf::TermKind::kLiteral:
       if (!term.language.empty()) {
-        return StrFormat(
-            "{\"type\":\"literal\",\"value\":\"%s\",\"xml:lang\":\"%s\"}",
-            JsonEscape(term.value).c_str(),
-            JsonEscape(term.language).c_str());
+        return AppendBinding("literal", term.value, "xml:lang",
+                             term.language, out);
       }
       if (!term.datatype.empty()) {
-        return StrFormat(
-            "{\"type\":\"literal\",\"value\":\"%s\",\"datatype\":\"%s\"}",
-            JsonEscape(term.value).c_str(),
-            JsonEscape(term.datatype).c_str());
+        return AppendBinding("literal", term.value, "datatype",
+                             term.datatype, out);
       }
-      return StrFormat("{\"type\":\"literal\",\"value\":\"%s\"}",
-                       JsonEscape(term.value).c_str());
+      return AppendBinding("literal", term.value, "", "", out);
     case rdf::TermKind::kVariable:
       break;  // Variables never appear in data.
   }
-  return "{\"type\":\"literal\",\"value\":\"\"}";
+  AppendBinding("literal", "", "", "", out);
+}
+
+/// The binding object of one canonical N-Triples term, transcoded in
+/// place for IRIs, blank nodes and plain or typed literals without
+/// backslash escapes (their lexical bytes are their values). Escaped and
+/// language-tagged literals, and anything malformed, go through
+/// rdf::ParseTerm, which also supplies the error.
+Status AppendLexicalBindingJson(std::string_view lexical, std::string* out) {
+  if (lexical.size() >= 2 && lexical.front() == '<' &&
+      lexical.back() == '>') {
+    AppendBinding("uri", lexical.substr(1, lexical.size() - 2), "", "", out);
+    return Status::OK();
+  }
+  if (lexical.size() >= 3 && lexical[0] == '_' && lexical[1] == ':') {
+    AppendBinding("bnode", lexical.substr(2), "", "", out);
+    return Status::OK();
+  }
+  if (!lexical.empty() && lexical.front() == '"' &&
+      lexical.find('\\') == std::string_view::npos) {
+    const size_t close = lexical.find('"', 1);
+    if (close != std::string_view::npos) {
+      const std::string_view value = lexical.substr(1, close - 1);
+      const std::string_view suffix = lexical.substr(close + 1);
+      if (suffix.empty()) {
+        AppendBinding("literal", value, "", "", out);
+        return Status::OK();
+      }
+      if (suffix.size() >= 4 && suffix.substr(0, 3) == "^^<" &&
+          suffix.back() == '>') {
+        AppendBinding("literal", value, "datatype",
+                      suffix.substr(3, suffix.size() - 4), out);
+        return Status::OK();
+      }
+    }
+  }
+  PROST_ASSIGN_OR_RETURN(rdf::Term term, rdf::ParseTerm(lexical));
+  AppendBindingJson(term, out);
+  return Status::OK();
+}
+
+/// Appends one result cell: the N-Triples term for TSV, its binding
+/// object for JSON. Virtual integer ids render as DecodeRows renders
+/// them, an xsd:integer typed literal.
+Status AppendCell(const rdf::Dictionary& dictionary, rdf::TermId id,
+                  ResultFormat format, std::string* out) {
+  if (rdf::IsVirtualIntegerId(id)) {
+    char digits[24];
+    const std::to_chars_result end = std::to_chars(
+        digits, digits + sizeof(digits), rdf::VirtualIntegerValue(id));
+    const std::string_view value(digits,
+                                 static_cast<size_t>(end.ptr - digits));
+    if (format == ResultFormat::kJson) {
+      AppendBinding("literal", value, "datatype", kXsdInteger, out);
+      return Status::OK();
+    }
+    out->push_back('"');
+    out->append(value);
+    out->append("\"^^<");
+    out->append(kXsdInteger);
+    out->push_back('>');
+    return Status::OK();
+  }
+  PROST_ASSIGN_OR_RETURN(std::string_view lexical, dictionary.LookupId(id));
+  if (format == ResultFormat::kJson) {
+    return AppendLexicalBindingJson(lexical, out);
+  }
+  out->append(lexical);
+  return Status::OK();
 }
 
 Result<rdf::Term> TermFromBinding(const JsonValue& binding) {
@@ -310,50 +391,81 @@ const char* SparqlResultWriter::ContentType(ResultFormat format) {
   return "application/sparql-results+json";
 }
 
+Status SparqlResultWriter::SerializeTo(const core::ProstDb& db,
+                                       const engine::Relation& relation,
+                                       ResultFormat format,
+                                       const ResultSink& sink,
+                                       size_t flush_bytes) {
+  const rdf::Dictionary& dictionary = db.dictionary();
+  const std::vector<std::string>& vars = relation.column_names();
+  const bool json = format == ResultFormat::kJson;
+  std::string buffer;
+  buffer.reserve(flush_bytes + 4096);
+
+  // SPARQL 1.1 TSV: "?var" header row, then one N-Triples-encoded term per
+  // cell (tabs/newlines inside literals are backslash-escaped by the
+  // N-Triples serialization, so cells never contain separators). JSON:
+  // the head, then one object per row keyed by the escaped variable names.
+  std::vector<std::string> keys;
+  if (json) {
+    buffer.append("{\"head\":{\"vars\":[");
+    keys.reserve(vars.size());
+    for (size_t c = 0; c < vars.size(); ++c) {
+      std::string key = "\"";
+      AppendJsonEscaped(vars[c], &key);
+      key.push_back('"');
+      if (c > 0) buffer.push_back(',');
+      buffer.append(key);
+      key.push_back(':');
+      keys.push_back(std::move(key));
+    }
+    buffer.append("]},\"results\":{\"bindings\":[");
+  } else {
+    for (size_t c = 0; c < vars.size(); ++c) {
+      buffer.append(c == 0 ? "?" : "\t?");
+      buffer.append(vars[c]);
+    }
+    buffer.push_back('\n');
+  }
+
+  bool first_row = true;
+  for (const engine::RelationChunk& chunk : relation.chunks()) {
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      if (json) buffer.append(first_row ? "{" : ",{");
+      first_row = false;
+      for (size_t c = 0; c < vars.size(); ++c) {
+        // A chunk short of columns reads as null ids, as CollectRows does.
+        const rdf::TermId id =
+            c < chunk.columns.size() ? chunk.columns[c][r] : rdf::kNullTermId;
+        if (json) {
+          if (c > 0) buffer.push_back(',');
+          buffer.append(keys[c]);
+        } else if (c > 0) {
+          buffer.push_back('\t');
+        }
+        PROST_RETURN_IF_ERROR(AppendCell(dictionary, id, format, &buffer));
+      }
+      buffer.push_back(json ? '}' : '\n');
+      if (buffer.size() >= flush_bytes) {
+        PROST_RETURN_IF_ERROR(sink(buffer));
+        buffer.clear();
+      }
+    }
+  }
+  if (json) buffer.append("]}}");
+  if (buffer.empty()) return Status::OK();
+  return sink(buffer);
+}
+
 Result<std::string> SparqlResultWriter::Serialize(
     const core::ProstDb& db, const engine::Relation& relation,
     ResultFormat format) {
-  PROST_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> rows,
-                         db.DecodeRows(relation));
-  const std::vector<std::string>& vars = relation.column_names();
-
-  if (format == ResultFormat::kTsv) {
-    // SPARQL 1.1 TSV: "?var" header row, then one N-Triples-encoded term
-    // per cell (tabs/newlines inside literals are backslash-escaped by
-    // the N-Triples serialization, so cells never contain separators).
-    std::string out;
-    for (size_t c = 0; c < vars.size(); ++c) {
-      out += c == 0 ? "?" : "\t?";
-      out += vars[c];
-    }
-    out += "\n";
-    for (const std::vector<std::string>& row : rows) {
-      for (size_t c = 0; c < row.size(); ++c) {
-        if (c > 0) out += "\t";
-        out += row[c];
-      }
-      out += "\n";
-    }
-    return out;
-  }
-
-  std::string out = "{\"head\":{\"vars\":[";
-  for (size_t c = 0; c < vars.size(); ++c) {
-    if (c > 0) out += ",";
-    out += "\"" + JsonEscape(vars[c]) + "\"";
-  }
-  out += "]},\"results\":{\"bindings\":[";
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (r > 0) out += ",";
-    out += "{";
-    for (size_t c = 0; c < vars.size(); ++c) {
-      PROST_ASSIGN_OR_RETURN(rdf::Term term, rdf::ParseTerm(rows[r][c]));
-      if (c > 0) out += ",";
-      out += "\"" + JsonEscape(vars[c]) + "\":" + BindingJson(term);
-    }
-    out += "}";
-  }
-  out += "]}}";
+  std::string out;
+  PROST_RETURN_IF_ERROR(
+      SerializeTo(db, relation, format, [&out](std::string_view piece) {
+        out.append(piece);
+        return Status::OK();
+      }));
   return out;
 }
 
@@ -427,41 +539,45 @@ Result<SparqlResultSet> SparqlResultWriter::ParseTsv(std::string_view tsv) {
   return out;
 }
 
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
+void AppendJsonEscaped(std::string_view text, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  // Copies runs of bytes that need no escape in one append each.
+  size_t run_begin = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(text.data() + run_begin, i - run_begin);
+    run_begin = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        out->append("\\\"");
         break;
       case '\\':
-        out += "\\\\";
+        out->append("\\\\");
         break;
       case '\n':
-        out += "\\n";
+        out->append("\\n");
         break;
       case '\r':
-        out += "\\r";
+        out->append("\\r");
         break;
       case '\t':
-        out += "\\t";
+        out->append("\\t");
         break;
       case '\b':
-        out += "\\b";
+        out->append("\\b");
         break;
       case '\f':
-        out += "\\f";
+        out->append("\\f");
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
-  return out;
+  out->append(text.data() + run_begin, text.size() - run_begin);
 }
 
 }  // namespace prost::net

@@ -1,6 +1,8 @@
 #ifndef PROST_NET_RESULT_WRITER_H_
 #define PROST_NET_RESULT_WRITER_H_
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,9 +14,12 @@
 /// Result serialization for the SPARQL protocol endpoint: a Relation
 /// (projected variables as columns, dictionary-encoded ids as values)
 /// becomes SPARQL 1.1 Query Results JSON or TSV, chosen by the request's
-/// Accept header. The inverse parser exists so tests and the bench can
-/// deserialize a response back into lexical rows and compare them
-/// row-identically against in-process execution.
+/// Accept header. The writer streams: it renders rows straight from the
+/// relation's id columns and the dictionary's lexical forms into one
+/// reused buffer, handed to a sink whenever it reaches kStreamFlushBytes,
+/// so a response never exists whole in memory. The inverse parser exists
+/// so tests and the bench can deserialize a response back into lexical
+/// rows and compare them row-identically against in-process execution.
 
 namespace prost::net {
 
@@ -30,6 +35,15 @@ struct SparqlResultSet {
   std::vector<std::vector<std::string>> rows;
 };
 
+/// SerializeTo hands its buffer to the sink once a row takes it to at
+/// least this many bytes, so every piece but the last is between this
+/// and this plus one row.
+inline constexpr size_t kStreamFlushBytes = 64 * 1024;
+
+/// Receives consecutive pieces of a serialized result. The view is valid
+/// only during the call. A non-OK status stops serialization.
+using ResultSink = std::function<Status(std::string_view piece)>;
+
 class SparqlResultWriter {
  public:
   /// Content negotiation over the Accept header: the first recognized
@@ -41,10 +55,20 @@ class SparqlResultWriter {
 
   static const char* ContentType(ResultFormat format);
 
-  /// Serializes `relation` in `format`, decoding ids through `db`'s
-  /// dictionary. Row order is the relation's CollectRows order — the
-  /// same order ProstDb::DecodeRows yields — so a network client and an
-  /// in-process caller see identical row sequences.
+  /// Streams `relation` in `format` to `sink`, decoding ids through
+  /// `db`'s dictionary, in pieces of `flush_bytes` plus at most one row
+  /// (the last piece may be shorter). Row order is the relation's
+  /// CollectRows order (chunk, then row) — the same order
+  /// ProstDb::DecodeRows yields — so a network client and an in-process
+  /// caller see identical row sequences. Returns the first sink error,
+  /// or the decode error of an id the dictionary does not hold; pieces
+  /// already handed over stay handed over.
+  static Status SerializeTo(const core::ProstDb& db,
+                            const engine::Relation& relation,
+                            ResultFormat format, const ResultSink& sink,
+                            size_t flush_bytes = kStreamFlushBytes);
+
+  /// The whole SerializeTo output as one string.
   static Result<std::string> Serialize(const core::ProstDb& db,
                                        const engine::Relation& relation,
                                        ResultFormat format);
@@ -58,9 +82,10 @@ class SparqlResultWriter {
   static Result<SparqlResultSet> ParseTsv(std::string_view tsv);
 };
 
-/// Escapes `text` for embedding inside a JSON string literal (quotes,
-/// backslash, control characters). UTF-8 passes through untouched.
-std::string JsonEscape(std::string_view text);
+/// Appends `text` to `out`, escaped for embedding inside a JSON string
+/// literal (quotes, backslash, control characters). UTF-8 passes through
+/// untouched.
+void AppendJsonEscaped(std::string_view text, std::string* out);
 
 }  // namespace prost::net
 

@@ -223,32 +223,25 @@ void Server::ServeConnection(Socket socket) {
             error.http_status, HttpErrorCodeName(error.http_status),
             error.message);
         response.keep_alive = false;
-        metrics_
-            .counter(StrFormat("net.responses.%dxx", response.status / 100))
-            .Increment();
-        PROST_IGNORE_ERROR(socket.WriteAll(response.Serialize()));
+        Send(socket, response);
         return;
       }
       case HttpParser::Outcome::kRequest: {
         metrics_.counter("net.requests").Increment();
-        HttpResponse response;
+        bool keep_open = false;
         if (draining()) {
           // A request that completed after drain started: answered, not
           // slammed — but told to go elsewhere.
           metrics_.counter("net.drain_rejected").Increment();
-          response = ErrorResponse(503, "unavailable",
-                                   "server is draining; retry elsewhere");
+          HttpResponse response = ErrorResponse(
+              503, "unavailable", "server is draining; retry elsewhere");
           response.AddHeader("Retry-After", "1");
           response.keep_alive = false;
+          Send(socket, response);
         } else {
-          response = Route(request);
-          response.keep_alive = response.keep_alive && request.keep_alive;
+          keep_open = Respond(request, socket);
         }
-        metrics_
-            .counter(StrFormat("net.responses.%dxx", response.status / 100))
-            .Increment();
-        if (!socket.WriteAll(response.Serialize()).ok()) return;
-        if (!response.keep_alive) return;
+        if (!keep_open) return;
         request_started = NowSeconds();
         idle_since = NowSeconds();
         continue;  // A pipelined follower may already be buffered.
@@ -267,8 +260,7 @@ void Server::ServeConnection(Socket socket) {
           ErrorResponse(HttpStatusForStatus(timeout),
                         StatusCodeToString(timeout.code()), timeout.message());
       response.keep_alive = false;
-      metrics_.counter("net.responses.4xx").Increment();
-      PROST_IGNORE_ERROR(socket.WriteAll(response.Serialize()));
+      Send(socket, response);
       return;
     }
     if (!mid_request && now - idle_since > options_.idle_timeout_seconds) {
@@ -287,49 +279,129 @@ void Server::ServeConnection(Socket socket) {
   }
 }
 
-HttpResponse Server::Route(const HttpRequest& request) {
-  if (request.path == "/healthz") {
+bool Server::Respond(const HttpRequest& request, Socket& socket) {
+  if (request.path == "/sparql" &&
+      (request.method == "GET" || request.method == "POST")) {
+    return HandleSparql(request, socket);
+  }
+  HttpResponse response;
+  if (request.path == "/healthz" || request.path == "/metrics") {
     if (request.method != "GET") {
-      HttpResponse response =
-          ErrorResponse(405, HttpErrorCodeName(405), "use GET");
+      response = ErrorResponse(405, HttpErrorCodeName(405), "use GET");
       response.AddHeader("Allow", "GET");
-      return response;
+    } else if (request.path == "/healthz") {
+      response.AddHeader("Content-Type", "text/plain; charset=utf-8");
+      response.body = "ok\n";
+    } else {
+      response = HandleMetrics();
     }
-    HttpResponse response;
-    response.AddHeader("Content-Type", "text/plain; charset=utf-8");
-    response.body = "ok\n";
-    return response;
+  } else if (request.path == "/sparql") {
+    response = ErrorResponse(405, HttpErrorCodeName(405), "use GET or POST");
+    response.AddHeader("Allow", "GET, POST");
+  } else {
+    response = ErrorResponse(404, HttpErrorCodeName(404),
+                             "no route for " + request.path);
   }
-  if (request.path == "/metrics") {
-    if (request.method != "GET") {
-      HttpResponse response =
-          ErrorResponse(405, HttpErrorCodeName(405), "use GET");
-      response.AddHeader("Allow", "GET");
-      return response;
-    }
-    return HandleMetrics();
-  }
-  if (request.path == "/sparql") {
-    if (request.method != "GET" && request.method != "POST") {
-      HttpResponse response =
-          ErrorResponse(405, HttpErrorCodeName(405), "use GET or POST");
-      response.AddHeader("Allow", "GET, POST");
-      return response;
-    }
-    return HandleSparql(request);
-  }
-  return ErrorResponse(404, HttpErrorCodeName(404),
-                       "no route for " + request.path);
+  response.keep_alive = request.keep_alive;
+  return Send(socket, response);
 }
 
-HttpResponse Server::HandleSparql(const HttpRequest& request) {
+bool Server::Send(Socket& socket, const HttpResponse& response) {
+  metrics_.counter(StrFormat("net.responses.%dxx", response.status / 100))
+      .Increment();
+  return socket.WriteAll(response.Serialize()).ok() && response.keep_alive;
+}
+
+namespace {
+
+/// The sink side of a streamed SPARQL response (DESIGN.md §13). The
+/// first piece is held back: if the writer finishes without a second,
+/// the body fits one flush buffer and goes out with Content-Length, as a
+/// small response always did. Otherwise the head goes out with the
+/// second piece, chunked for HTTP/1.1 and close-delimited for HTTP/1.0,
+/// and each later piece is written as it arrives. `sent` is counted
+/// before the head's first byte is written, as Server::Send counts, so a
+/// client that has read its response never sees the counter lag behind.
+class ResponseStream {
+ public:
+  ResponseStream(Socket& socket, HttpResponse head, bool chunked,
+                 obs::Counter& sent)
+      : socket_(socket),
+        head_(std::move(head)),
+        chunked_(chunked),
+        sent_(sent) {}
+
+  /// True once any byte of the response may have been written.
+  bool head_sent() const { return head_sent_; }
+  /// True when the head went out ahead of the body's end.
+  bool streaming() const { return streaming_; }
+
+  Status Write(std::string_view piece) {
+    if (!holding_first_) {
+      holding_first_ = true;
+      head_.body.assign(piece);
+      return Status::OK();
+    }
+    if (!streaming_) {
+      head_sent_ = streaming_ = true;
+      sent_.Increment();
+      frame_ = head_.SerializeStreamHead(chunked_);
+      AppendBody(head_.body);
+      std::string().swap(head_.body);
+    }
+    AppendBody(piece);
+    Status written = socket_.WriteAll(frame_);
+    frame_.clear();
+    return written;
+  }
+
+  /// Ends the body: the whole response when it fit the held piece, else
+  /// the terminal chunk (nothing when close-delimited).
+  Status Finish() {
+    if (!streaming_) {
+      head_sent_ = true;
+      sent_.Increment();
+      return socket_.WriteAll(head_.Serialize());
+    }
+    return chunked_ ? socket_.WriteAll("0\r\n\r\n") : Status::OK();
+  }
+
+ private:
+  void AppendBody(std::string_view piece) {
+    if (chunked_) {
+      AppendHttpChunk(piece, &frame_);
+    } else {
+      frame_.append(piece);
+    }
+  }
+
+  Socket& socket_;
+  HttpResponse head_;
+  const bool chunked_;
+  obs::Counter& sent_;
+  bool holding_first_ = false;
+  bool head_sent_ = false;
+  bool streaming_ = false;
+  /// Reused framing buffer: one chunk (the first time, the head and two
+  /// chunks) per write.
+  std::string frame_;
+};
+
+}  // namespace
+
+bool Server::HandleSparql(const HttpRequest& request, Socket& socket) {
+  auto reject = [&](int http_status, std::string_view code,
+                    std::string_view message) {
+    HttpResponse response = ErrorResponse(http_status, code, message);
+    response.keep_alive = request.keep_alive;
+    return Send(socket, response);
+  };
   std::string query_text;
   if (request.method == "GET") {
     Result<std::vector<std::pair<std::string, std::string>>> params =
         ParseFormEncoded(request.query_string);
     if (!params.ok()) {
-      return ErrorResponse(400, HttpErrorCodeName(400),
-                           params.status().message());
+      return reject(400, HttpErrorCodeName(400), params.status().message());
     }
     bool found = false;
     for (const auto& [name, value] : *params) {
@@ -340,8 +412,7 @@ HttpResponse Server::HandleSparql(const HttpRequest& request) {
       }
     }
     if (!found) {
-      return ErrorResponse(400, HttpErrorCodeName(400),
-                           "missing query parameter");
+      return reject(400, HttpErrorCodeName(400), "missing query parameter");
     }
   } else {
     const std::string* content_type = request.FindHeader("content-type");
@@ -353,8 +424,7 @@ HttpResponse Server::HandleSparql(const HttpRequest& request) {
       Result<std::vector<std::pair<std::string, std::string>>> params =
           ParseFormEncoded(request.body);
       if (!params.ok()) {
-        return ErrorResponse(400, HttpErrorCodeName(400),
-                             params.status().message());
+        return reject(400, HttpErrorCodeName(400), params.status().message());
       }
       bool found = false;
       for (const auto& [name, value] : *params) {
@@ -365,11 +435,11 @@ HttpResponse Server::HandleSparql(const HttpRequest& request) {
         }
       }
       if (!found) {
-        return ErrorResponse(400, HttpErrorCodeName(400),
-                             "missing query form parameter");
+        return reject(400, HttpErrorCodeName(400),
+                      "missing query form parameter");
       }
     } else {
-      return ErrorResponse(
+      return reject(
           415, HttpErrorCodeName(415),
           "POST /sparql accepts application/sparql-query or "
           "application/x-www-form-urlencoded, got \"" +
@@ -379,6 +449,8 @@ HttpResponse Server::HandleSparql(const HttpRequest& request) {
 
   // Admission, budget, and execution all live in the serve layer; the
   // translator's message (e.g. an unparseable query) rides back on 400s.
+  // The admission slot is released when ExecuteSparql returns, so
+  // serialization and socket writes never hold it.
   Result<core::QueryResult> result = sessions_.ExecuteSparql(query_text);
   if (!result.ok()) {
     const Status& status = result.status();
@@ -388,21 +460,39 @@ HttpResponse Server::HandleSparql(const HttpRequest& request) {
     if (status.code() == StatusCode::kUnavailable) {
       response.AddHeader("Retry-After", "1");
     }
-    return response;
+    response.keep_alive = request.keep_alive;
+    return Send(socket, response);
   }
 
   const std::string* accept = request.FindHeader("accept");
   const ResultFormat format =
       SparqlResultWriter::Negotiate(accept == nullptr ? "" : *accept);
-  Result<std::string> body =
-      SparqlResultWriter::Serialize(sessions_.db(), result->relation, format);
-  if (!body.ok()) {
-    return ErrorResponse(500, "internal", body.status().message());
+  // HTTP/1.0 has no chunked encoding: there, a body longer than one flush
+  // buffer is close-delimited.
+  const bool chunked = request.version != "HTTP/1.0";
+  HttpResponse head;
+  head.AddHeader("Content-Type", SparqlResultWriter::ContentType(format));
+  head.keep_alive = request.keep_alive;
+  ResponseStream stream(socket, std::move(head), chunked,
+                        metrics_.counter("net.responses.2xx"));
+  Status streamed = SparqlResultWriter::SerializeTo(
+      sessions_.db(), result->relation, format,
+      [&stream](std::string_view piece) { return stream.Write(piece); });
+  if (streamed.ok()) streamed = stream.Finish();
+  if (!stream.head_sent()) {
+    // Nothing went out yet: the failure still gets a proper answer.
+    return reject(500, "internal", streamed.message());
   }
-  HttpResponse response;
-  response.AddHeader("Content-Type", SparqlResultWriter::ContentType(format));
-  response.body = std::move(*body);
-  return response;
+  if (streamed.ok()) {
+    return request.keep_alive && (chunked || !stream.streaming());
+  }
+  if (stream.streaming()) {
+    // The 200 head is already on the wire: closing without the terminal
+    // chunk is the only way left to tell the client the body is cut
+    // short.
+    metrics_.counter("net.responses_aborted").Increment();
+  }
+  return false;
 }
 
 HttpResponse Server::HandleMetrics() {
@@ -420,9 +510,11 @@ HttpResponse Server::ErrorResponse(int http_status, std::string_view code,
   HttpResponse response;
   response.status = http_status;
   response.AddHeader("Content-Type", "application/json");
-  response.body = StrFormat("{\"error\":{\"code\":\"%s\",\"message\":\"%s\"}}",
-                            JsonEscape(code).c_str(),
-                            JsonEscape(message).c_str());
+  response.body = "{\"error\":{\"code\":\"";
+  AppendJsonEscaped(code, &response.body);
+  response.body += "\",\"message\":\"";
+  AppendJsonEscaped(message, &response.body);
+  response.body += "\"}}";
   return response;
 }
 

@@ -28,8 +28,11 @@
 ///   GET  /healthz          — liveness: "ok\n"
 ///   GET  /metrics          — JSON: {"db":…, "serve":…, "net":…}
 ///
-/// Results are SPARQL 1.1 JSON or TSV by Accept header; execution errors
-/// map through HttpStatusForStatus (503s carry Retry-After).
+/// Results are SPARQL 1.1 JSON or TSV by Accept header, streamed as they
+/// are serialized: a body that fits one kStreamFlushBytes buffer goes out
+/// with Content-Length, a longer one chunked (close-delimited for
+/// HTTP/1.0 requests). Execution errors map through HttpStatusForStatus
+/// (503s carry Retry-After).
 
 namespace prost::net {
 
@@ -98,8 +101,11 @@ class Server {
 
   /// Transport metrics: net.connections_accepted / handled /
   /// rejected_pending_full counters, net.requests / net.responses.<1xx..5xx
-  /// class counters, net.drain_rejected, and the net.pending_connections /
-  /// net.active_connections gauges. Thread-safe.
+  /// class counters (one per response whose head was written),
+  /// net.drain_rejected, net.responses_aborted (streamed results cut off
+  /// after their 200 head went out, by a socket or serialization error;
+  /// they stay counted under net.responses.2xx), and the
+  /// net.pending_connections / net.active_connections gauges. Thread-safe.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
@@ -110,10 +116,15 @@ class Server {
   /// Serves one connection to completion (keep-alive loop included).
   void ServeConnection(Socket socket);
 
-  /// Routing + execution for one parsed request. Never touches mu_.
-  HttpResponse Route(const HttpRequest& request);
-  HttpResponse HandleSparql(const HttpRequest& request);
+  /// Routing, execution and the response write for one parsed request;
+  /// returns whether the connection stays open. Never touches mu_.
+  bool Respond(const HttpRequest& request, Socket& socket);
+  /// Executes the query and streams its result (see the file comment).
+  bool HandleSparql(const HttpRequest& request, Socket& socket);
   HttpResponse HandleMetrics();
+  /// Counts and writes a complete response; true when the write succeeded
+  /// and `response.keep_alive`.
+  bool Send(Socket& socket, const HttpResponse& response);
   HttpResponse ErrorResponse(int http_status, std::string_view code,
                              std::string_view message);
 

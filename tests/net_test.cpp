@@ -1,23 +1,31 @@
 // Tests for the SPARQL protocol endpoint (src/net/), in two tiers:
 //
-//  1. Parser tier — the HTTP/1.1 request parser driven by an in-memory
-//     byte stream (no sockets anywhere): table-driven malformed/over-
-//     limit rejections, torn reads split at every byte boundary,
-//     pipelined requests, keep-alive semantics, percent/form decoding,
-//     the typed Status→HTTP map, and Accept-header negotiation.
+//  1. Parser tier — the HTTP/1.1 request and response parsers driven by
+//     an in-memory byte stream (no sockets anywhere): table-driven
+//     malformed/over-limit rejections, torn reads split at every byte
+//     boundary (chunked responses included), pipelined requests and
+//     keep-alive responses, percent/form decoding, the typed
+//     Status→HTTP map, Accept-header negotiation, and the result
+//     writer's exact JSON for every term shape.
 //
 //  2. Loopback tier — a real net::Server on an ephemeral port over a
-//     WatDiv fixture, queried through net::Client: every WatDiv basic
-//     query must come back row-identical (JSON and TSV) to in-process
-//     ProstDb execution, four concurrent clients stay correct, admission
-//     overflow surfaces as 503 + Retry-After, and a graceful drain
-//     finishes in-flight responses while 503ing late requests.
+//     WatDiv fixture, queried through net::Client and raw sockets: every
+//     WatDiv basic query must come back row-identical (JSON and TSV) to
+//     in-process ProstDb execution over both framings (Content-Length
+//     and chunked), streamed pieces equal the whole serialization at any
+//     flush size, chunks stay within one flush buffer plus one row,
+//     HTTP/1.0 gets a close-delimited body, truncation is an error on
+//     the client and an aborted response on the server, four concurrent
+//     clients stay correct, admission overflow surfaces as 503 +
+//     Retry-After, and a graceful drain finishes in-flight responses
+//     while 503ing late requests.
 //
 // Runs under the TSan CI leg (label `net`): the acceptor + handler pool +
 // concurrent clients double as a data-race probe on the net layer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -31,6 +39,7 @@
 #include "net/http.h"
 #include "net/result_writer.h"
 #include "net/server.h"
+#include "net/socket.h"
 #include "serve/session_manager.h"
 #include "sparql/parser.h"
 #include "watdiv/generator.h"
@@ -221,6 +230,123 @@ TEST(HttpResponseTest, SerializeRoundTripsThroughResponseParser) {
   EXPECT_EQ(*parsed.FindHeader("connection"), "close");
 }
 
+/// A chunked response as our server frames it: two data chunks (one with
+/// a chunk extension, which parsers must ignore), the terminal chunk and
+/// one trailer field.
+const char kChunkedResponse[] =
+    "HTTP/1.1 200 OK\r\n"
+    "Content-Type: text/tab-separated-values\r\n"
+    "Transfer-Encoding: chunked\r\n"
+    "Connection: keep-alive\r\n"
+    "\r\n"
+    "6\r\n?s\t?o\n\r\n"
+    "17;ext=1\r\n<http://x/a>\t\"v\\tw\"\r\n\r\n\r\n"
+    "0\r\n"
+    "X-Trailer: ignored\r\n"
+    "\r\n";
+const char kChunkedBody[] = "?s\t?o\n<http://x/a>\t\"v\\tw\"\r\n\r\n";
+
+TEST(HttpResponseParserTest, ChunkedSplitAtEveryByteBoundary) {
+  const std::string full = kChunkedResponse;
+  for (size_t split = 0; split <= full.size(); ++split) {
+    HttpResponseParser parser;
+    HttpResponseParser::Response parsed;
+    parser.Feed(std::string_view(full).substr(0, split));
+    if (split < full.size()) {
+      ASSERT_EQ(parser.Next(&parsed), HttpParser::Outcome::kNeedMore)
+          << "split at " << split;
+      parser.Feed(std::string_view(full).substr(split));
+    }
+    ASSERT_EQ(parser.Next(&parsed), HttpParser::Outcome::kRequest)
+        << "split at " << split << ": " << parser.error().message;
+    EXPECT_EQ(parsed.status, 200);
+    EXPECT_EQ(parsed.body, kChunkedBody) << "split at " << split;
+    ASSERT_NE(parsed.FindHeader("transfer-encoding"), nullptr);
+    EXPECT_EQ(parser.Next(&parsed), HttpParser::Outcome::kNeedMore);
+  }
+  // Byte at a time.
+  HttpResponseParser parser;
+  HttpResponseParser::Response parsed;
+  for (size_t i = 0; i + 1 < full.size(); ++i) {
+    parser.Feed(std::string_view(full).substr(i, 1));
+    ASSERT_EQ(parser.Next(&parsed), HttpParser::Outcome::kNeedMore)
+        << "byte " << i;
+  }
+  parser.Feed(std::string_view(full).substr(full.size() - 1));
+  ASSERT_EQ(parser.Next(&parsed), HttpParser::Outcome::kRequest);
+  EXPECT_EQ(parsed.body, kChunkedBody);
+}
+
+TEST(HttpResponseParserTest, ChunkedThenContentLengthOnOneConnection) {
+  HttpResponse second;
+  second.AddHeader("Content-Type", "application/json");
+  second.body = "{\"error\":{}}";
+  const std::string wire = std::string(kChunkedResponse) + second.Serialize();
+  // All at once, then torn in two at every boundary: the second response
+  // must come out whole either way.
+  for (size_t split = 0; split <= wire.size(); ++split) {
+    HttpResponseParser parser;
+    HttpResponseParser::Response first_parsed;
+    HttpResponseParser::Response second_parsed;
+    parser.Feed(std::string_view(wire).substr(0, split));
+    if (parser.Next(&first_parsed) == HttpParser::Outcome::kNeedMore) {
+      parser.Feed(std::string_view(wire).substr(split));
+      ASSERT_EQ(parser.Next(&first_parsed), HttpParser::Outcome::kRequest)
+          << "split at " << split;
+    } else {
+      parser.Feed(std::string_view(wire).substr(split));
+    }
+    EXPECT_EQ(first_parsed.body, kChunkedBody) << "split at " << split;
+    ASSERT_EQ(parser.Next(&second_parsed), HttpParser::Outcome::kRequest)
+        << "split at " << split;
+    EXPECT_EQ(second_parsed.body, second.body) << "split at " << split;
+    ASSERT_NE(second_parsed.FindHeader("content-length"), nullptr);
+    EXPECT_EQ(second_parsed.FindHeader("transfer-encoding"), nullptr);
+    EXPECT_EQ(parser.Next(&second_parsed), HttpParser::Outcome::kNeedMore);
+  }
+}
+
+TEST(HttpResponseParserTest, TableOfRejections) {
+  const std::string head =
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+  struct Case {
+    const char* name;
+    std::string wire;
+  };
+  const std::vector<Case> cases = {
+      {"NonHexChunkSize", head + "1g\r\nx\r\n0\r\n\r\n"},
+      {"EmptyChunkSize", head + "\r\n"},
+      {"SignedChunkSize", head + "-1\r\n"},
+      // 16 hex digits would overflow a 64-bit size on the next digit;
+      // anything past 15 is refused before any arithmetic.
+      {"OverlongChunkSize", head + "0000000000000001\r\nx\r\n0\r\n\r\n"},
+      {"OverflowingChunkSize", head + "fffffffffffffffff\r\n"},
+      {"ChunkDataWithoutCrlf", head + "3\r\nabcX\r\n0\r\n\r\n"},
+      {"ChunkDataWithBareLf", head + "3\r\nabc\n0\r\n\r\n"},
+      {"UnterminatedChunkSizeLine", head + std::string(1100, '0')},
+      {"OverlongTrailerLine",
+       head + "0\r\nX-T: " + std::string(1100, 't') + "\r\n\r\n"},
+      {"GzipTransferEncoding",
+       "HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n"},
+      {"StackedTransferEncoding",
+       "HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n"},
+      {"MalformedContentLength",
+       "HTTP/1.1 200 OK\r\nContent-Length: 1x\r\n\r\n"},
+      {"OverlongContentLength",
+       "HTTP/1.1 200 OK\r\nContent-Length: 1234567890123456\r\n\r\n"},
+      {"MalformedStatusLine", "HTTP/1.1200 OK\r\n\r\n"},
+      {"OversizedHead",
+       "HTTP/1.1 200 OK\r\nX-Big: " + std::string(70000, 'h')},
+  };
+  for (const Case& c : cases) {
+    HttpResponseParser parser;
+    parser.Feed(c.wire);
+    HttpResponseParser::Response parsed;
+    ASSERT_EQ(parser.Next(&parsed), HttpParser::Outcome::kError) << c.name;
+    EXPECT_FALSE(parser.error().message.empty()) << c.name;
+  }
+}
+
 TEST(HttpUtilTest, PercentAndFormDecoding) {
   auto decoded = net::PercentDecode("a%20b%2Fc", false);
   ASSERT_TRUE(decoded.ok());
@@ -316,6 +442,110 @@ TEST(ResultWriterTest, ParseTsvRoundTrip) {
   EXPECT_FALSE(SparqlResultWriter::ParseTsv("?s\n<a>\t<b>\n").ok());
 }
 
+TEST(ResultWriterTest, GoldenBindingsForEveryTermShape) {
+  const std::string xsd = "http://www.w3.org/2001/XMLSchema#";
+  struct Case {
+    const char* name;
+    rdf::Term term;
+    std::string binding;
+  };
+  const std::vector<Case> cases = {
+      {"Iri", rdf::Term::Iri("http://x/a"),
+       R"({"type":"uri","value":"http://x/a"})"},
+      {"IriWithQuote", rdf::Term::Iri("http://x/\"q\""),
+       R"({"type":"uri","value":"http://x/\"q\""})"},
+      {"Blank", rdf::Term::Blank("b0"), R"({"type":"bnode","value":"b0"})"},
+      {"Plain", rdf::Term::Literal("plain text"),
+       R"({"type":"literal","value":"plain text"})"},
+      {"Typed", rdf::Term::TypedLiteral("7", xsd + "int"),
+       R"({"type":"literal","value":"7","datatype":")" + xsd + R"(int"})"},
+      {"Lang", rdf::Term::LangLiteral("bonjour", "fr"),
+       R"({"type":"literal","value":"bonjour","xml:lang":"fr"})"},
+      {"Quote", rdf::Term::Literal("say \"hi\""),
+       R"({"type":"literal","value":"say \"hi\""})"},
+      {"Backslash", rdf::Term::Literal("a\\b"),
+       R"({"type":"literal","value":"a\\b"})"},
+      {"Newline", rdf::Term::Literal("line\nbreak"),
+       R"({"type":"literal","value":"line\nbreak"})"},
+      {"Tab", rdf::Term::Literal("tab\there"),
+       R"({"type":"literal","value":"tab\there"})"},
+      {"ControlByte", rdf::Term::Literal(std::string("bell\x01\x1f", 6)),
+       R"({"type":"literal","value":"bell\u0001\u001f"})"},
+      {"TypedWithTab", rdf::Term::TypedLiteral("a\tb", xsd + "string"),
+       R"({"type":"literal","value":"a\tb","datatype":")" + xsd +
+           R"(string"})"},
+      {"LangWithQuote", rdf::Term::LangLiteral("\"oui\"", "fr"),
+       R"({"type":"literal","value":"\"oui\"","xml:lang":"fr"})"},
+  };
+  rdf::EncodedGraph graph;
+  const rdf::Term subject = rdf::Term::Iri("http://x/s");
+  const rdf::Term predicate = rdf::Term::Iri("http://x/p");
+  for (const Case& c : cases) {
+    graph.Add(rdf::Triple{
+        c.term.is_literal() ? subject : c.term, predicate,
+        c.term.is_literal() ? c.term : subject});
+  }
+  auto db = core::ProstDb::LoadFromGraph(std::move(graph), {});
+  ASSERT_TRUE(db.ok()) << db.status();
+
+  std::vector<engine::Row> rows;
+  std::string json = R"({"head":{"vars":["v"]},"results":{"bindings":[)";
+  std::string tsv = "?v\n";
+  for (const Case& c : cases) {
+    const rdf::TermId id = (*db)->dictionary().Lookup(c.term.ToNTriples());
+    ASSERT_NE(id, rdf::kNullTermId) << c.name;
+    rows.push_back({id});
+    json += (rows.size() > 1 ? ",{\"v\":" : "{\"v\":") + c.binding + "}";
+    tsv += c.term.ToNTriples() + "\n";
+
+    // Each shape on its own, so a failure names the case.
+    auto one = SparqlResultWriter::Serialize(
+        **db, engine::Relation::FromRows({"v"}, {{id}}, 1),
+        ResultFormat::kJson);
+    ASSERT_TRUE(one.ok()) << c.name << ": " << one.status();
+    EXPECT_EQ(*one, R"({"head":{"vars":["v"]},"results":{"bindings":[{"v":)" +
+                        c.binding + "}]}}")
+        << c.name;
+  }
+  // A virtual integer id (an aggregate's COUNT) never touches the
+  // dictionary and renders as DecodeRows renders it.
+  rows.push_back({rdf::VirtualIntegerId(42)});
+  json += R"(,{"v":{"type":"literal","value":"42","datatype":")" + xsd +
+          R"(integer"}}]}})";
+  tsv += "\"42\"^^<" + xsd + "integer>\n";
+
+  const engine::Relation relation = engine::Relation::FromRows({"v"}, rows, 1);
+  auto serialized_json =
+      SparqlResultWriter::Serialize(**db, relation, ResultFormat::kJson);
+  ASSERT_TRUE(serialized_json.ok()) << serialized_json.status();
+  EXPECT_EQ(*serialized_json, json);
+  auto serialized_tsv =
+      SparqlResultWriter::Serialize(**db, relation, ResultFormat::kTsv);
+  ASSERT_TRUE(serialized_tsv.ok()) << serialized_tsv.status();
+  EXPECT_EQ(*serialized_tsv, tsv);
+
+  // The JSON reader rebuilds exactly the N-Triples terms DecodeRows gives.
+  auto decoded = (*db)->DecodeRows(relation);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  auto parsed = SparqlResultWriter::ParseJson(*serialized_json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->rows, *decoded);
+}
+
+TEST(ResultWriterTest, UnknownIdIsAnError) {
+  rdf::EncodedGraph graph;
+  graph.Add(rdf::Triple{rdf::Term::Iri("http://x/s"),
+                        rdf::Term::Iri("http://x/p"),
+                        rdf::Term::Literal("o")});
+  auto db = core::ProstDb::LoadFromGraph(std::move(graph), {});
+  ASSERT_TRUE(db.ok()) << db.status();
+  const engine::Relation relation =
+      engine::Relation::FromRows({"v"}, {{1}, {999999}}, 1);
+  for (ResultFormat format : {ResultFormat::kJson, ResultFormat::kTsv}) {
+    EXPECT_FALSE(SparqlResultWriter::Serialize(**db, relation, format).ok());
+  }
+}
+
 // ---------------------------------------------------------- loopback tier
 
 using SharedGraph = std::shared_ptr<const rdf::EncodedGraph>;
@@ -364,6 +594,13 @@ class NetEndToEndTest : public ::testing::Test {
       ASSERT_TRUE(rows.ok()) << wq.id << ": " << rows.status();
       reference_vars_.push_back(result->relation.column_names());
       reference_rows_.push_back(std::move(rows).value());
+      auto json = SparqlResultWriter::Serialize(*serial_, result->relation,
+                                                ResultFormat::kJson);
+      ASSERT_TRUE(json.ok()) << wq.id << ": " << json.status();
+      if (json->size() > largest_json_.size()) {
+        largest_query_ = reference_rows_.size() - 1;
+        largest_json_ = std::move(json).value();
+      }
     }
   }
 
@@ -372,6 +609,7 @@ class NetEndToEndTest : public ::testing::Test {
     reference_rows_.clear();
     reference_vars_.clear();
     raw_queries_.clear();
+    largest_json_.clear();
     graph_.reset();
   }
 
@@ -380,6 +618,9 @@ class NetEndToEndTest : public ::testing::Test {
   static std::vector<std::vector<std::string>> reference_vars_;
   static std::vector<std::vector<std::vector<std::string>>> reference_rows_;
   static std::unique_ptr<core::ProstDb> serial_;
+  /// The query with the largest JSON body, and that body.
+  static size_t largest_query_;
+  static std::string largest_json_;
 };
 
 SharedGraph NetEndToEndTest::graph_;
@@ -388,6 +629,87 @@ std::vector<std::vector<std::string>> NetEndToEndTest::reference_vars_;
 std::vector<std::vector<std::vector<std::string>>>
     NetEndToEndTest::reference_rows_;
 std::unique_ptr<core::ProstDb> NetEndToEndTest::serial_;
+size_t NetEndToEndTest::largest_query_ = 0;
+std::string NetEndToEndTest::largest_json_;
+
+/// Counts how a run of 200 responses was framed, checking each framing's
+/// invariants on the way: a chunked body is longer than one flush buffer
+/// and carries no Content-Length; every other body carries an exact one.
+struct FramingTally {
+  int chunked = 0;
+  int content_length = 0;
+
+  void Add(const HttpResponseParser::Response& response,
+           const std::string& id) {
+    const std::string* encoding = response.FindHeader("transfer-encoding");
+    const std::string* length = response.FindHeader("content-length");
+    if (encoding != nullptr) {
+      EXPECT_EQ(*encoding, "chunked") << id;
+      EXPECT_EQ(length, nullptr) << id;
+      EXPECT_GE(response.body.size(), net::kStreamFlushBytes) << id;
+      ++chunked;
+      return;
+    }
+    ASSERT_NE(length, nullptr) << id;
+    EXPECT_EQ(*length, std::to_string(response.body.size())) << id;
+    ++content_length;
+  }
+};
+
+/// Writes `request` on a fresh loopback connection and returns every byte
+/// the server sends until it closes the connection.
+std::string RawExchange(uint16_t port, std::string_view request) {
+  auto socket = net::ConnectTcp("127.0.0.1", port, 60.0);
+  EXPECT_TRUE(socket.ok()) << socket.status();
+  if (!socket.ok()) return "";
+  EXPECT_TRUE(socket->WriteAll(request).ok());
+  std::string received;
+  std::vector<char> buffer(64 * 1024);
+  while (true) {
+    Result<size_t> n = socket->Read(buffer.data(), buffer.size());
+    EXPECT_TRUE(n.ok()) << n.status();
+    if (!n.ok() || *n == 0) return received;
+    received.append(buffer.data(), *n);
+  }
+}
+
+/// Splits a raw response at its blank line: {head with its final CRLF,
+/// body bytes}.
+std::pair<std::string, std::string> SplitHead(const std::string& raw) {
+  const size_t blank = raw.find("\r\n\r\n");
+  if (blank == std::string::npos) return {raw, ""};
+  return {raw.substr(0, blank + 2), raw.substr(blank + 4)};
+}
+
+/// Decodes chunked framing by hand (independently of HttpResponseParser,
+/// which is itself under test). Returns the data chunk sizes; the body
+/// goes to `body`. Malformed or unterminated framing fails the test.
+std::vector<size_t> DecodeChunks(std::string_view wire, std::string* body) {
+  std::vector<size_t> sizes;
+  size_t position = 0;
+  while (true) {
+    const size_t line_end = wire.find("\r\n", position);
+    if (line_end == std::string_view::npos) {
+      ADD_FAILURE() << "chunk-size line without CRLF at byte " << position;
+      return sizes;
+    }
+    const size_t size = std::stoul(
+        std::string(wire.substr(position, line_end - position)), nullptr, 16);
+    position = line_end + 2;
+    if (size == 0) {
+      EXPECT_EQ(wire.substr(position), "\r\n") << "after the last chunk";
+      return sizes;
+    }
+    if (wire.size() - position < size + 2 ||
+        wire.substr(position + size, 2) != "\r\n") {
+      ADD_FAILURE() << "chunk of " << size << " bytes cut short";
+      return sizes;
+    }
+    body->append(wire.substr(position, size));
+    sizes.push_back(size);
+    position += size + 2;
+  }
+}
 
 /// One running endpoint over the fixture graph: db + session manager +
 /// server on an ephemeral loopback port.
@@ -418,6 +740,7 @@ struct Endpoint {
 TEST_F(NetEndToEndTest, AllWatDivQueriesRowIdenticalOverJson) {
   Endpoint endpoint(graph_);
   net::Client client = endpoint.Dial();
+  FramingTally framing;
   for (size_t i = 0; i < raw_queries_.size(); ++i) {
     const std::string target =
         "/sparql?query=" + net::PercentEncode(raw_queries_[i].sparql);
@@ -429,17 +752,22 @@ TEST_F(NetEndToEndTest, AllWatDivQueriesRowIdenticalOverJson) {
     ASSERT_NE(response->FindHeader("content-type"), nullptr);
     EXPECT_EQ(*response->FindHeader("content-type"),
               "application/sparql-results+json");
+    framing.Add(*response, raw_queries_[i].id);
     auto parsed = SparqlResultWriter::ParseJson(response->body);
     ASSERT_TRUE(parsed.ok()) << raw_queries_[i].id << ": "
                              << parsed.status();
     EXPECT_EQ(parsed->vars, reference_vars_[i]) << raw_queries_[i].id;
     EXPECT_EQ(parsed->rows, reference_rows_[i]) << raw_queries_[i].id;
   }
+  // Both framings are exercised, so neither goes untested.
+  EXPECT_GE(framing.chunked, 1);
+  EXPECT_GE(framing.content_length, 1);
 }
 
 TEST_F(NetEndToEndTest, PostAndTsvMatchInProcessRows) {
   Endpoint endpoint(graph_);
   net::Client client = endpoint.Dial();
+  FramingTally framing;
   for (size_t i = 0; i < raw_queries_.size(); ++i) {
     // POST application/sparql-query, TSV negotiated via Accept.
     auto tsv = client.Post("/sparql", "application/sparql-query",
@@ -449,12 +777,15 @@ TEST_F(NetEndToEndTest, PostAndTsvMatchInProcessRows) {
     ASSERT_EQ(tsv->status, 200) << raw_queries_[i].id << ": " << tsv->body;
     ASSERT_NE(tsv->FindHeader("content-type"), nullptr);
     EXPECT_EQ(*tsv->FindHeader("content-type"), "text/tab-separated-values");
+    framing.Add(*tsv, raw_queries_[i].id);
     auto parsed = SparqlResultWriter::ParseTsv(tsv->body);
     ASSERT_TRUE(parsed.ok()) << raw_queries_[i].id << ": "
                              << parsed.status();
     EXPECT_EQ(parsed->vars, reference_vars_[i]) << raw_queries_[i].id;
     EXPECT_EQ(parsed->rows, reference_rows_[i]) << raw_queries_[i].id;
   }
+  EXPECT_GE(framing.chunked, 1);
+  EXPECT_GE(framing.content_length, 1);
   // POST form-encoded, default (JSON) Accept.
   const std::string form =
       "query=" + net::PercentEncode(raw_queries_[0].sparql);
@@ -465,6 +796,114 @@ TEST_F(NetEndToEndTest, PostAndTsvMatchInProcessRows) {
   auto parsed = SparqlResultWriter::ParseJson(json->body);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->rows, reference_rows_[0]);
+}
+
+TEST_F(NetEndToEndTest, SerializeEqualsStreamedPiecesAtEveryFlushSize) {
+  for (size_t i = 0; i < raw_queries_.size(); ++i) {
+    auto result = serial_->ExecuteSparql(raw_queries_[i].sparql);
+    ASSERT_TRUE(result.ok()) << raw_queries_[i].id << ": " << result.status();
+    for (ResultFormat format : {ResultFormat::kJson, ResultFormat::kTsv}) {
+      auto whole =
+          SparqlResultWriter::Serialize(*serial_, result->relation, format);
+      ASSERT_TRUE(whole.ok()) << whole.status();
+      for (size_t flush : {size_t{1}, size_t{7}, net::kStreamFlushBytes}) {
+        const std::string label =
+            raw_queries_[i].id +
+            (format == ResultFormat::kJson ? " json" : " tsv") + " flush " +
+            std::to_string(flush);
+        std::string joined;
+        std::vector<size_t> sizes;
+        Status streamed = SparqlResultWriter::SerializeTo(
+            *serial_, result->relation, format,
+            [&](std::string_view piece) {
+              joined.append(piece);
+              sizes.push_back(piece.size());
+              return Status::OK();
+            },
+            flush);
+        ASSERT_TRUE(streamed.ok()) << label << ": " << streamed;
+        EXPECT_EQ(joined, *whole) << label;
+        // Every piece but the last reached the flush size.
+        for (size_t p = 0; p + 1 < sizes.size(); ++p) {
+          ASSERT_GE(sizes[p], flush) << label << " piece " << p;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(NetEndToEndTest, SinkErrorStopsSerialization) {
+  auto result = serial_->ExecuteSparql(raw_queries_[largest_query_].sparql);
+  ASSERT_TRUE(result.ok()) << result.status();
+  int calls = 0;
+  Status streamed = SparqlResultWriter::SerializeTo(
+      *serial_, result->relation, ResultFormat::kJson,
+      [&](std::string_view) {
+        return ++calls == 2 ? Status::IOError("peer went away")
+                            : Status::OK();
+      },
+      /*flush_bytes=*/1);
+  EXPECT_EQ(streamed.code(), StatusCode::kIOError) << streamed;
+  EXPECT_EQ(calls, 2);
+}
+
+TEST_F(NetEndToEndTest, LargestResponseChunksStayWithinOneFlushPlusOneRow) {
+  // The longest single piece the writer emits at flush size 1: one row
+  // (plus the JSON head for the first). Peak per-request buffering is one
+  // flush buffer plus that, whatever the result size.
+  auto result = serial_->ExecuteSparql(raw_queries_[largest_query_].sparql);
+  ASSERT_TRUE(result.ok()) << result.status();
+  size_t longest_row = 0;
+  ASSERT_TRUE(SparqlResultWriter::SerializeTo(
+                  *serial_, result->relation, ResultFormat::kJson,
+                  [&](std::string_view piece) {
+                    longest_row = std::max(longest_row, piece.size());
+                    return Status::OK();
+                  },
+                  /*flush_bytes=*/1)
+                  .ok());
+  ASSERT_GT(largest_json_.size(), 4 * net::kStreamFlushBytes)
+      << "the fixture's largest result should span several chunks";
+
+  Endpoint endpoint(graph_);
+  const std::string raw = RawExchange(
+      endpoint.server->port(),
+      "GET /sparql?query=" +
+          net::PercentEncode(raw_queries_[largest_query_].sparql) +
+          " HTTP/1.1\r\nHost: a\r\nConnection: close\r\n\r\n");
+  const auto [head, wire] = SplitHead(raw);
+  EXPECT_NE(head.find("Transfer-Encoding: chunked\r\n"), std::string::npos)
+      << head;
+  EXPECT_EQ(head.find("Content-Length"), std::string::npos) << head;
+  std::string body;
+  const std::vector<size_t> sizes = DecodeChunks(wire, &body);
+  EXPECT_EQ(body, largest_json_);
+  EXPECT_GT(sizes.size(), 4u);
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    EXPECT_LE(sizes[c], net::kStreamFlushBytes + longest_row) << "chunk " << c;
+  }
+}
+
+TEST_F(NetEndToEndTest, Http10LargeResponseIsCloseDelimited) {
+  Endpoint endpoint(graph_);
+  // Keep-alive asked for, but a body of unknown length cannot be framed
+  // on HTTP/1.0 except by closing the connection after it.
+  const std::string raw = RawExchange(
+      endpoint.server->port(),
+      "GET /sparql?query=" +
+          net::PercentEncode(raw_queries_[largest_query_].sparql) +
+          " HTTP/1.0\r\nConnection: keep-alive\r\n\r\n");
+  const auto [head, body] = SplitHead(raw);
+  EXPECT_EQ(head.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << head;
+  EXPECT_EQ(head.find("Transfer-Encoding"), std::string::npos) << head;
+  EXPECT_EQ(head.find("Content-Length"), std::string::npos) << head;
+  EXPECT_NE(head.find("Connection: close\r\n"), std::string::npos) << head;
+  EXPECT_EQ(body, largest_json_);
+
+  // A small HTTP/1.0 answer still carries Content-Length.
+  const std::string small = RawExchange(
+      endpoint.server->port(), "GET /healthz HTTP/1.0\r\n\r\n");
+  EXPECT_NE(small.find("Content-Length: 3\r\n"), std::string::npos) << small;
 }
 
 TEST_F(NetEndToEndTest, HealthMetricsAndErrorRoutes) {
@@ -662,6 +1101,87 @@ TEST_F(NetEndToEndTest, DrainFinishesInFlightAndRejectsLateRequests) {
   Status connected =
       refused.Connect("127.0.0.1", endpoint.server->port(), 0.5);
   EXPECT_FALSE(connected.ok());
+}
+
+TEST(ServerStreamTest, ClientGoneMidStreamCountsAnAbortedResponse) {
+  // 40k rows of a 500-byte literal: a ~22 MB body, far more than loopback
+  // socket buffers hold while the peer reads nothing, so the server is
+  // still writing when the client hangs up.
+  rdf::EncodedGraph graph;
+  const rdf::Term predicate = rdf::Term::Iri("http://x/p");
+  const rdf::Term filler = rdf::Term::Literal(std::string(500, 'x'));
+  for (int i = 0; i < 40000; ++i) {
+    graph.Add(rdf::Triple{rdf::Term::Iri("http://x/s" + std::to_string(i)),
+                          predicate, filler});
+  }
+  graph.SortAndDedupe();
+  Endpoint endpoint(std::make_shared<const rdf::EncodedGraph>(
+      std::move(graph)));
+
+  auto socket = net::ConnectTcp("127.0.0.1", endpoint.server->port(), 60.0);
+  ASSERT_TRUE(socket.ok()) << socket.status();
+  const std::string query = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o . }";
+  ASSERT_TRUE(socket
+                  ->WriteAll("GET /sparql?query=" + net::PercentEncode(query) +
+                             " HTTP/1.1\r\nHost: a\r\n\r\n")
+                  .ok());
+  // Read until the head is in, then hang up with the body unread.
+  std::string received;
+  char buffer[4096];
+  while (received.find("\r\n\r\n") == std::string::npos) {
+    Result<size_t> n = socket->Read(buffer, sizeof(buffer));
+    ASSERT_TRUE(n.ok()) << n.status();
+    ASSERT_GT(*n, 0u) << "closed before the head";
+    received.append(buffer, *n);
+  }
+  EXPECT_EQ(received.rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
+  EXPECT_NE(received.find("Transfer-Encoding: chunked\r\n"),
+            std::string::npos);
+  socket->Close();
+
+  const obs::MetricsRegistry& metrics = endpoint.server->metrics();
+  ASSERT_TRUE(WaitUntil([&] {
+    return metrics.Snapshot().counter("net.responses_aborted") == 1;
+  }));
+  // The 200 status line went out, so it stays counted as a 2xx.
+  EXPECT_EQ(metrics.Snapshot().counter("net.responses.2xx"), 1u);
+
+  // The server itself is unharmed.
+  net::Client client = endpoint.Dial();
+  auto health = client.Get("/healthz");
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_EQ(health->status, 200);
+}
+
+TEST(ClientTest, TruncatedChunkedResponseIsAnError) {
+  // A raw listener that sends a chunked head and one chunk, then hangs
+  // up: the client must report an error, never a short 200.
+  auto listener = net::ListenSocket::BindAndListen("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  std::thread peer([&] {
+    auto accepted = listener->Accept();
+    ASSERT_TRUE(accepted.ok()) << accepted.status();
+    std::string request;
+    char buffer[1024];
+    while (request.find("\r\n\r\n") == std::string::npos) {
+      Result<size_t> n = accepted->Read(buffer, sizeof(buffer));
+      ASSERT_TRUE(n.ok()) << n.status();
+      if (*n == 0) return;
+      request.append(buffer, *n);
+    }
+    ASSERT_TRUE(accepted
+                    ->WriteAll("HTTP/1.1 200 OK\r\n"
+                               "Transfer-Encoding: chunked\r\n\r\n"
+                               "5\r\nhello\r\n")
+                    .ok());
+    // Closing here is the truncation.
+  });
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", listener->port()).ok());
+  auto response = client.Get("/sparql?query=x");
+  peer.join();
+  EXPECT_FALSE(response.ok()) << "a truncated body came back as status "
+                              << response->status;
 }
 
 }  // namespace

@@ -10,6 +10,13 @@
 #include "rdf/triple.h"
 
 namespace prost::rdf {
+
+// gtest prints a parameter through this, and gtest_discover_tests names each
+// TermRoundTripTest case after that text. Without it gtest falls back to a
+// byte dump of the Term, heap pointers included, so the ctest names changed
+// from build to build.
+void PrintTo(const Term& term, std::ostream* os) { *os << term.ToNTriples(); }
+
 namespace {
 
 // ----------------------------------------------------------------- Term

@@ -69,6 +69,17 @@ Checks, each with a short rule id used in diagnostics:
                        either name its guard or carry an "internally
                        synchronized" comment (e.g. it is itself a
                        MetricsRegistry).
+  materialized-response
+                       src/net/server.cc calling
+                       SparqlResultWriter::Serialize( or DecodeRows(.
+                       The endpoint streams results through
+                       SparqlResultWriter::SerializeTo in flush-sized
+                       pieces; either call builds the whole result in
+                       memory before the first byte goes out.
+
+Before linting the tree, the script checks its own rules against the
+snippets in RULE_CASES (each must raise exactly its expected rule, or
+nothing), so a rule that silently stops matching fails the lint too.
 
 Exit status 0 when clean, 1 with one "path:line: [rule] message" per
 violation otherwise.
@@ -168,6 +179,31 @@ MUTABLE_SYNC_PRIMITIVE = re.compile(r"^\s*mutable\s[\w:<,\s>]*"
 # (its type owns its own locking, e.g. obs::MetricsRegistry) needs no
 # PROST_GUARDED_BY.
 INTERNALLY_SYNCHRONIZED = re.compile(r"[Ii]nternally\s+synchronized")
+MATERIALIZED_RESPONSE = re.compile(
+    r"\bSparqlResultWriter\s*::\s*Serialize\s*\(|\bDecodeRows\s*\("
+)
+STREAMING_RESPONSE_FILES = {"src/net/server.cc"}
+
+# Rule tests: (path the snippet pretends to live at, snippet, the one rule
+# it must raise or None when it must lint clean).
+RULE_CASES = [
+    ("src/net/server.cc",
+     "auto body = SparqlResultWriter::Serialize(db, relation, format);\n",
+     "materialized-response"),
+    ("src/net/server.cc",
+     "auto rows = sessions_.db().DecodeRows(result->relation);\n",
+     "materialized-response"),
+    ("src/net/server.cc",
+     "Status s = SparqlResultWriter::SerializeTo(db, relation, format, "
+     "sink);\n",
+     None),
+    ("src/net/server.cc",
+     "// Never SparqlResultWriter::Serialize( or DecodeRows( here.\n",
+     None),
+    ("src/net/result_writer.cc",
+     "return SparqlResultWriter::Serialize(db, relation, format);\n",
+     None),
+]
 
 
 def lint_lexical(path, lines, failures, check_value_rule, check_plan_rule):
@@ -293,6 +329,19 @@ def lint_stats_in_engine(path, lines, raw_lines, failures):
             )
 
 
+def lint_materialized_response(path, lines, failures):
+    """The endpoint must stream results: a whole-body serialization in
+    server.cc would hold the entire result (and its copies) in memory per
+    in-flight request."""
+    for number, line in lines:
+        if MATERIALIZED_RESPONSE.search(line):
+            failures.append(
+                f"{path}:{number}: [materialized-response] the server "
+                "streams results through SparqlResultWriter::SerializeTo; "
+                "Serialize / DecodeRows build the whole result in memory"
+            )
+
+
 def lint_include_order(path, text, failures):
     blocks = []
     current = []
@@ -336,36 +385,60 @@ def lint_include_order(path, text, failures):
                 break
 
 
+def lint_file(root_directory, relative, text, failures):
+    """Runs every rule that applies to `relative` (a path under the
+    repository root whose first part is `root_directory`) over `text`."""
+    lines = code_lines(text)
+    in_plan = relative.parts[:2] == ("src", "plan")
+    in_mutex_layer = relative.as_posix() in (
+        "src/common/mutex.h",
+        "src/common/mutex.cc",
+    )
+    in_net_layer = relative.parts[:2] == ("src", "net")
+    in_columnar_layer = relative.parts[:2] == ("src", "columnar")
+    lint_lexical(relative, lines, failures,
+                 check_value_rule=root_directory == "src",
+                 check_plan_rule=not in_plan)
+    lint_concurrency(relative, lines, text.splitlines(), failures,
+                     in_mutex_layer, in_net_layer, in_columnar_layer)
+    if relative.parts[:2] == ("src", "engine"):
+        lint_stats_in_engine(relative, lines, text.splitlines(), failures)
+    if relative.as_posix() in STREAMING_RESPONSE_FILES:
+        lint_materialized_response(relative, lines, failures)
+    lint_include_order(relative, text, failures)
+
+
+def check_rule_cases():
+    """Returns one message per RULE_CASES entry the rules get wrong."""
+    problems = []
+    for path, snippet, expected in RULE_CASES:
+        relative = Path(path)
+        failures = []
+        lint_file(relative.parts[0], relative, snippet, failures)
+        rules = sorted({re.search(r"\[([\w-]+)\]", f).group(1)
+                        for f in failures})
+        want = [] if expected is None else [expected]
+        if rules != want:
+            problems.append(
+                f"lint self-test: {path}: {snippet.strip()!r} raised "
+                f"{rules or 'nothing'}, expected {want or 'nothing'}"
+            )
+    return problems
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=".", help="repository root")
     args = parser.parse_args()
     root = Path(args.root)
 
-    failures = []
+    failures = check_rule_cases()
     for directory in ALL_DIRS:
         for path in sorted((root / directory).rglob("*")):
             if path.suffix not in CPP_SUFFIXES:
                 continue
             text = path.read_text(encoding="utf-8")
-            relative = path.relative_to(root)
-            lines = code_lines(text)
-            in_plan = relative.parts[:2] == ("src", "plan")
-            in_mutex_layer = relative.as_posix() in (
-                "src/common/mutex.h",
-                "src/common/mutex.cc",
-            )
-            in_net_layer = relative.parts[:2] == ("src", "net")
-            in_columnar_layer = relative.parts[:2] == ("src", "columnar")
-            lint_lexical(relative, lines, failures,
-                         check_value_rule=directory == "src",
-                         check_plan_rule=not in_plan)
-            lint_concurrency(relative, lines, text.splitlines(), failures,
-                             in_mutex_layer, in_net_layer, in_columnar_layer)
-            if relative.parts[:2] == ("src", "engine"):
-                lint_stats_in_engine(relative, lines, text.splitlines(),
-                                     failures)
-            lint_include_order(relative, text, failures)
+            lint_file(directory, path.relative_to(root), text, failures)
 
     for failure in failures:
         print(failure)
